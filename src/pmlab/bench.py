@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .landscape import AngleTriple, s_quantum
+from .landscape import AngleTriple, _check_grid_size, _fmt, s_quantum
 from .qubit import (
     H,
     Outcome,
@@ -60,6 +62,12 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            # The bound also rejects nan and ints too large for a float.
+            if not (number and abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
         if self.heralded_rate < 0:
             raise ConfigError(f"heralded_rate must be >= 0, got {self.heralded_rate!r}")
         if self.integration_time <= 0:
@@ -341,14 +349,33 @@ def estimate_joint(
     return EstimatedProbability(value=value, std_error=std_error)
 
 
-def _pair_settings(triple: AngleTriple) -> list[tuple[float, float]]:
-    # Preparation/analysis angle pairs for the three joints, in witness
-    # order: plus-a then minus-b, plus-b then minus-c, plus-a then minus-c.
-    return [
-        (triple.theta_a, triple.theta_b),
-        (triple.theta_b, triple.theta_c),
-        (triple.theta_a, triple.theta_c),
-    ]
+#: One estimation's count records, keyed (canonical preparation, analyzer).
+_Records = dict[tuple[float, float], CountRecord]
+
+
+def _joint(
+    cfg: ExperimentConfig, records: _Records, prep: float, meas: float
+) -> EstimatedProbability:
+    # The record and its zero-angle reference, each simulated at most once
+    # per ``records``, turned into one joint estimate.
+    pair = []
+    for theta_prep in (prep, 0.0):
+        key = (canonical_degrees(theta_prep), float(meas))
+        if key not in records:
+            records[key] = simulate_setting(cfg, Setting.for_angles(theta_prep, meas))
+        pair.append(records[key])
+    return estimate_joint(*pair)
+
+
+def _witness(cfg: ExperimentConfig, records: _Records, a: float, b: float, c: float) -> SEstimate:
+    # Joints in witness order: plus-a then minus-b, plus-b then minus-c,
+    # plus-a then minus-c; errors combine in quadrature.
+    j_ab = _joint(cfg, records, a, b)
+    j_bc = _joint(cfg, records, b, c)
+    j_ac = _joint(cfg, records, a, c)
+    value = j_ab.value + j_bc.value - j_ac.value
+    std_error = math.sqrt(j_ab.std_error**2 + j_bc.std_error**2 + j_ac.std_error**2)
+    return SEstimate(value=value, std_error=std_error)
 
 
 def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
@@ -358,17 +385,7 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     zero-angle references, combines the joint estimates, and propagates
     the three errors in quadrature.
     """
-    references: dict[float, CountRecord] = {}
-    joints: list[EstimatedProbability] = []
-    for theta_prep, theta_meas in _pair_settings(triple):
-        record = simulate_setting(cfg, Setting.for_angles(theta_prep, theta_meas))
-        if theta_meas not in references:
-            references[theta_meas] = simulate_setting(cfg, Setting.for_angles(0.0, theta_meas))
-        joints.append(estimate_joint(record, references[theta_meas]))
-
-    value = joints[0].value + joints[1].value - joints[2].value
-    std_error = math.sqrt(sum(j.std_error**2 for j in joints))
-    return SEstimate(value=value, std_error=std_error)
+    return _witness(cfg, {}, *triple.as_tuple())
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,6 +424,12 @@ def run_full_scan(
     evaluation order.
     """
     meas_step = 2.0 * cfg.hwp_step
+    # theta_b's axis below compares every preparation node with every
+    # analyzer node, so that product is the grid to bound.
+    _check_grid_size(
+        np.ceil((180.0 + 0.5 * cfg.p2_step) / cfg.p2_step)
+        * np.ceil((180.0 + 0.5 * meas_step) / meas_step)
+    )
     prep_axis = np.arange(0.0, 180.0 + 0.5 * cfg.p2_step, cfg.p2_step)
     meas_axis = np.arange(0.0, 180.0 + 0.5 * meas_step, meas_step)
     # theta_b serves as both preparation and analysis angle, so its axis
@@ -416,35 +439,16 @@ def run_full_scan(
     )
     theta_c_axis = meas_axis.copy()
 
-    records: dict[tuple[float, float], CountRecord] = {}
-
-    def record_for(theta_prep: float, theta_meas: float) -> CountRecord:
-        key = (canonical_degrees(theta_prep), float(theta_meas))
-        if key not in records:
-            records[key] = simulate_setting(cfg, Setting.for_angles(theta_prep, theta_meas))
-        return records[key]
-
-    def joint(theta_prep: float, theta_meas: float) -> EstimatedProbability:
-        return estimate_joint(
-            record_for(theta_prep, theta_meas), record_for(0.0, theta_meas)
-        )
-
-    def witness(tb: float, tc: float) -> SEstimate:
-        j_ab = joint(theta_a, tb)
-        j_bc = joint(tb, tc)
-        j_ac = joint(theta_a, tc)
-        value = j_ab.value + j_bc.value - j_ac.value
-        std_error = math.sqrt(j_ab.std_error**2 + j_bc.std_error**2 + j_ac.std_error**2)
-        return SEstimate(value=value, std_error=std_error)
+    records: _Records = {}
 
     def witness_or_none(tb: float, tc: float) -> SEstimate | None:
         try:
-            return witness(tb, tc)
+            return _witness(cfg, records, theta_a, tb, tc)
         except InsufficientStatisticsError:
             return None
 
     surface = [[witness_or_none(tb, tc) for tc in theta_c_axis] for tb in theta_b_axis]
-    profile = [witness(theta_b_profile, tc) for tc in theta_c_axis]
+    profile = [_witness(cfg, records, theta_a, theta_b_profile, tc) for tc in theta_c_axis]
 
     surface_theory = np.array(
         [[s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis] for tb in theta_b_axis]
@@ -463,11 +467,6 @@ def run_full_scan(
         surface_theory=surface_theory,
         profile_theory=profile_theory,
     )
-
-
-def _fmt(x: float) -> str:
-    text = f"{x:.6f}"
-    return text[1:] if text == "-0.000000" else text
 
 
 def count_records_to_csv(records: list[CountRecord]) -> str:

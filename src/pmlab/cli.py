@@ -7,12 +7,12 @@ seed; machine formats are selected with --format.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad flags or config, 3 classical
 bound violated (implementation bug), 4 infeasible triple, 5 insufficient
-statistics.
+statistics.  Subcommands return 0, 3 or 4 and raise on failure; ``main``
+alone maps the exceptions to codes 1, 2 and 5.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -33,17 +33,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_document(document: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(document)
-        return EXIT_OK
-    try:
-        Path(out).write_text(document, encoding="utf-8")
-    except OSError as exc:
-        return _fail(f"cannot write {out}: {exc}", EXIT_IO)
-    return EXIT_OK
-
-
 def _load_config(path: str | None) -> bench.ExperimentConfig:
     if path is None:
         return bench.ExperimentConfig()
@@ -55,29 +44,20 @@ def _load_config(path: str | None) -> bench.ExperimentConfig:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.step <= 0:
-        return _fail(f"--step must be positive, got {args.step}", EXIT_USAGE)
-    try:
-        grid = landscape.ScanGrid.full_range(args.step)
-        axis_a = args.fix_a if args.fix_a is not None else grid
-        axis_b = args.fix_b if args.fix_b is not None else grid
-        land = landscape.grid_scan(axis_a, axis_b, grid)
-        document = landscape.export_surface(land, args.format)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    return _write_document(document, args.out)
+    grid = landscape.ScanGrid.full_range(args.step)
+    axis_a = args.fix_a if args.fix_a is not None else grid
+    axis_b = args.fix_b if args.fix_b is not None else grid
+    land = landscape.grid_scan(axis_a, axis_b, grid)
+    document = landscape.export_surface(land, args.format)
+    if args.out is None:
+        sys.stdout.write(document)
+    else:
+        Path(args.out).write_text(document, encoding="utf-8")
+    return EXIT_OK
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    if args.step <= 0:
-        return _fail(f"--step must be positive, got {args.step}", EXIT_USAGE)
-    if args.tol <= 0:
-        return _fail(f"--tol must be positive, got {args.tol}", EXIT_USAGE)
-    try:
-        seed_grid = landscape.ScanGrid.full_range(args.step)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    opt = landscape.minimize_s(seed_grid, tolerance=args.tol)
+    opt = landscape.minimize_s(landscape.ScanGrid.full_range(args.step), tolerance=args.tol)
     print(f"s_min = {opt.s_min:.6f}")
     print(f"evaluations = {opt.evaluations}")
     a, b, c = opt.argmin.as_tuple()
@@ -91,7 +71,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_classical_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
-        return _fail(f"--samples must be at least 1, got {args.samples}", EXIT_USAGE)
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     vertices = classical.enumerate_vertices()
     print("vertex witness values: " + ", ".join(f"{value:g}" for _, value in vertices))
     for state, value in vertices:
@@ -118,9 +98,6 @@ def _cmd_classical_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    for name, p in (("--p-ab", args.p_ab), ("--p-bc", args.p_bc), ("--p-ac", args.p_ac)):
-        if not 0.0 <= p <= 1.0:
-            return _fail(f"{name} must be in [0, 1], got {p}", EXIT_USAGE)
     triple = classical.JointTriple(p_ab=args.p_ab, p_bc=args.p_bc, p_ac=args.p_ac)
     ensemble = classical.fit_classical(triple)
     if ensemble is None:
@@ -139,15 +116,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except bench.ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    cfg = _load_config(args.config)
     triple = landscape.AngleTriple(args.theta_a, args.theta_b, args.theta_c)
-    try:
-        estimate = bench.estimate_S(cfg, triple)
-    except bench.InsufficientStatisticsError as exc:
-        return _fail(str(exc), EXIT_NO_STATS)
+    estimate = bench.estimate_S(cfg, triple)
     if args.format == "json":
         sys.stdout.write(bench.estimate_to_json(estimate))
     else:
@@ -158,21 +129,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_full_scan(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except bench.ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        result = bench.run_full_scan(cfg, theta_a=args.theta_a, theta_b_profile=args.theta_b)
-    except bench.InsufficientStatisticsError as exc:
-        return _fail(str(exc), EXIT_NO_STATS)
+    cfg = _load_config(args.config)
+    result = bench.run_full_scan(cfg, theta_a=args.theta_a, theta_b_profile=args.theta_b)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "surface.csv").write_text(bench.full_scan_surface_csv(result), encoding="utf-8")
-        (out_dir / "profile.csv").write_text(bench.full_scan_profile_csv(result), encoding="utf-8")
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_IO)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "surface.csv").write_text(bench.full_scan_surface_csv(result), encoding="utf-8")
+    (out_dir / "profile.csv").write_text(bench.full_scan_profile_csv(result), encoding="utf-8")
     print(f"wrote {out_dir / 'surface.csv'}")
     print(f"wrote {out_dir / 'profile.csv'}")
     return EXIT_OK
@@ -238,7 +200,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    except bench.InsufficientStatisticsError as exc:
+        return _fail(str(exc), EXIT_NO_STATS)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_IO)
 
 
 if __name__ == "__main__":

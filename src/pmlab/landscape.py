@@ -21,6 +21,14 @@ CSV_DECIMALS = 6
 DEGENERACY_ATOL = 1e-4
 #: Number of coarse-grid nodes used to start local refinement.
 DEFAULT_STARTS = 5
+#: Most nodes any one grid may hold; the 1-degree full cube has 181**3.
+MAX_GRID_NODES = 10_000_000
+
+
+def _check_grid_size(nodes: float) -> None:
+    # Called with a node count computed before anything is allocated.
+    if not nodes <= MAX_GRID_NODES:
+        raise ValueError(f"grid of {nodes:.4g} nodes exceeds the cap of {MAX_GRID_NODES}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +41,10 @@ class AngleTriple:
 
     def __post_init__(self) -> None:
         for name in ("theta_a", "theta_b", "theta_c"):
-            object.__setattr__(self, name, canonical_degrees(getattr(self, name)))
+            angle = float(getattr(self, name))
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite, got {angle!r}")
+            object.__setattr__(self, name, canonical_degrees(angle))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta_a, self.theta_b, self.theta_c)
@@ -53,12 +64,16 @@ class ScanGrid:
 
     def __post_init__(self) -> None:
         for name in ("start", "stop", "step"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.step <= 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if self.start > self.stop:
             raise ValueError(f"start {self.start!r} must not exceed stop {self.stop!r}")
         count = (self.stop - self.start) / self.step
+        _check_grid_size(count + 1)
         if abs(count - round(count)) > 1e-9:
             raise ValueError(
                 f"span {self.stop - self.start!r} is not a multiple of step {self.step!r}"
@@ -69,9 +84,12 @@ class ScanGrid:
         """The bench's acquisition range [0, 180] at the given step."""
         return cls(0.0, 180.0, step)
 
+    @property
+    def size(self) -> int:
+        return int(round((self.stop - self.start) / self.step)) + 1
+
     def nodes(self) -> np.ndarray:
-        count = int(round((self.stop - self.start) / self.step))
-        return self.start + self.step * np.arange(count + 1)
+        return self.start + self.step * np.arange(self.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +176,8 @@ def grid_scan(
     becomes a length-1 axis.  Values come out flat in row-major order over
     (theta_a, theta_b, theta_c), independent of evaluation scheduling.
     """
+    grids = [axis for axis in (axis_a, axis_b, axis_c) if isinstance(axis, ScanGrid)]
+    _check_grid_size(math.prod(grid.size for grid in grids))
     axes = tuple(
         axis.nodes() if isinstance(axis, ScanGrid) else np.array([float(axis)])
         for axis in (axis_a, axis_b, axis_c)

@@ -53,6 +53,15 @@ class TestExperimentConfig:
             ("p2_step", 0.0),
             ("hwp_step", -3.0),
             ("rng_seed", -1),
+            ("heralded_rate", math.nan),
+            ("heralded_rate", math.inf),
+            ("dark_rate_d1", -math.inf),
+            ("heralded_rate", "5"),
+            ("eff_d3", None),
+            ("eff_d1", True),
+            ("rng_seed", True),
+            ("rng_seed", 1.0),
+            pytest.param("coincidence_window", 10**400, id="coincidence_window-huge-int"),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -334,6 +343,21 @@ class TestEstimateS:
         ratio = short.std_error / long.std_error
         assert 8.0 <= ratio <= 12.0
 
+    def test_matches_full_scan_nodes_bit_for_bit(self):
+        # One estimation path: a surface node and a lone estimate at the same
+        # orientations come from the same records through the same sums.
+        cfg = ExperimentConfig.ideal(2e5, p2_step=30.0, hwp_step=15.0, rng_seed=17)
+        result = run_full_scan(cfg)
+        axis_b = result.theta_b_axis.tolist()
+        axis_c = result.theta_c_axis.tolist()
+        for tb, tc in [(0.0, 0.0), (30.0, 150.0), (60.0, 90.0), (120.0, 60.0), (150.0, 30.0)]:
+            node = result.surface[axis_b.index(tb)][axis_c.index(tc)]
+            alone = estimate_S(cfg, AngleTriple(result.theta_a, tb, tc))
+            assert (alone.value, alone.std_error) == (node.value, node.std_error)
+        profile_node = result.profile[axis_c.index(60.0)]
+        alone = estimate_S(cfg, AngleTriple(result.theta_a, result.theta_b_profile, 60.0))
+        assert (alone.value, alone.std_error) == (profile_node.value, profile_node.std_error)
+
 
 class TestRunFullScan:
     def coarse_config(self, **overrides):
@@ -379,6 +403,12 @@ class TestRunFullScan:
         result = run_full_scan(cfg)
         values = np.array([est.value for est in result.profile])
         assert result.theta_c_axis[int(np.argmin(values))] == 78.0
+
+    @pytest.mark.parametrize("p2_step,hwp_step", [(0.01, 0.005), (5e-324, 3.0)])
+    def test_grid_cap_rejects_before_allocating(self, p2_step, hwp_step):
+        cfg = ExperimentConfig.ideal(1e5, p2_step=p2_step, hwp_step=hwp_step)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            run_full_scan(cfg)
 
     def test_single_node_grid_yields_one_estimate(self):
         cfg = ExperimentConfig.ideal(1e5, rng_seed=1, p2_step=360.0, hwp_step=180.0)

@@ -1,8 +1,13 @@
 """Unit tests for the command-line front end: outputs and exit codes."""
+import contextlib
+import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmlab import cli
 from pmlab.bench import ExperimentConfig
@@ -52,6 +57,11 @@ class TestScan:
         assert code == 2
         assert "step" in err
 
+    def test_step_over_node_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "scan", "--step", "0.01")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds the cap" in err
+
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "profile.csv"
         code, out, _ = run(
@@ -88,6 +98,10 @@ class TestOptimize:
     def test_bad_tolerance(self, capsys):
         code, _, err = run(capsys, "optimize", "--tol", "-1")
         assert code == 2
+
+    def test_step_over_node_cap_rejected(self, capsys):
+        code, _, err = run(capsys, "optimize", "--step", "0.01")
+        assert code == 2 and "exceeds the cap" in err
 
 
 class TestClassicalVerify:
@@ -181,6 +195,46 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"heralded_rate": NaN}',
+            '{"heralded_rate": Infinity}',
+            '{"heralded_rate": "5"}',
+            '{"rng_seed": true}',
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_angle_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "simulate", "--theta-a", value)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "theta_a" in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from([f.name for f in fields(ExperimentConfig)]),
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(max_size=5),
+        )
+    )
+    def test_any_scalar_config_ends_in_a_documented_code(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["simulate", "--config", str(path)])
+        assert code in (0, 2, 5)
+
 
 class TestFullScan:
     def coarse_config(self, tmp_path):
@@ -221,6 +275,14 @@ class TestFullScan:
             "--out", str(blocker / "sub"),
         )
         assert code == 1
+
+    def test_grid_over_node_cap_is_usage_error(self, capsys, tmp_path):
+        cfg = ExperimentConfig.ideal(5e4, p2_step=0.01, hwp_step=0.005)
+        path = tmp_path / "fine.json"
+        path.write_text(cfg.to_json(), encoding="utf-8")
+        code, out, err = run(capsys, "full-scan", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "exceeds the cap" in err
 
     def test_missing_out_flag_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "full-scan", "--config", self.coarse_config(tmp_path))

@@ -53,6 +53,11 @@ class TestAngleTriple:
         t = AngleTriple(190.0, -10.0, 360.0)
         assert t.as_tuple() == (10.0, 170.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        with pytest.raises(ValueError, match="theta_b must be finite"):
+            AngleTriple(157.0, bad, 77.5)
+
 
 class TestScanGrid:
     def test_nodes_inclusive(self):
@@ -77,6 +82,14 @@ class TestScanGrid:
             ScanGrid(10.0, 0.0, 6.0)
         with pytest.raises(ValueError):
             ScanGrid(0.0, 10.0, 6.0)  # span not a multiple of step
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                ScanGrid(0.0, 180.0, bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                ScanGrid(0.0, bad, 6.0)
+        for tiny in (1e-9, 5e-324):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                ScanGrid.full_range(tiny)
 
 
 class TestSQuantum:
@@ -152,6 +165,16 @@ class TestGridScan:
         land = grid_scan(grid, grid, grid)
         assert land.values.min() >= -0.404
         assert np.all(np.isfinite(land.values))
+
+    def test_rejects_cube_over_node_cap(self):
+        # Each axis is legal on its own; the cube is refused before it exists.
+        grid = ScanGrid.full_range(0.01)
+        assert grid.size == 18001
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            grid_scan(grid, grid, grid)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            minimize_s(grid)
+        assert grid_scan(156.0, 126.0, grid).values.size == 18001
 
     def test_landscape_validation(self):
         with pytest.raises(ValueError):
