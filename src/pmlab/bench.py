@@ -11,6 +11,7 @@ rates and orders of magnitude faster.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .landscape import AngleTriple, _check_grid_size, _fmt, s_quantum
+from .landscape import AngleTriple, _check_grid_size, _csv, _finite, s_quantum
 from .qubit import (
     H,
     Outcome,
@@ -423,6 +424,9 @@ def run_full_scan(
     setting is simulated once and reused, and results are independent of
     evaluation order.
     """
+    _finite("theta_a", theta_a)
+    if not 0.0 <= theta_b_profile <= 180.0:
+        raise ValueError(f"theta_b_profile must be in [0, 180], got {theta_b_profile!r}")
     meas_step = 2.0 * cfg.hwp_step
     # theta_b's axis below compares every preparation node with every
     # analyzer node, so that product is the grid to bound.
@@ -469,39 +473,6 @@ def run_full_scan(
     )
 
 
-def count_records_to_csv(records: list[CountRecord]) -> str:
-    """Tabulate count records with the package's CSV conventions."""
-    lines = [
-        "theta_prep,hwp_angle,theta_meas,duration,"
-        "singles_d1,singles_d2,singles_d3,coinc_13,coinc_23"
-    ]
-    for r in records:
-        lines.append(
-            f"{_fmt(r.setting.theta_prep)},{_fmt(r.setting.hwp_angle)},"
-            f"{_fmt(r.setting.theta_meas)},{_fmt(r.duration)},"
-            f"{r.singles_d1},{r.singles_d2},{r.singles_d3},{r.coinc_13},{r.coinc_23}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def count_records_to_json(records: list[CountRecord]) -> str:
-    payload = [
-        {
-            "theta_prep": r.setting.theta_prep,
-            "hwp_angle": r.setting.hwp_angle,
-            "theta_meas": r.setting.theta_meas,
-            "duration": r.duration,
-            "singles_d1": r.singles_d1,
-            "singles_d2": r.singles_d2,
-            "singles_d3": r.singles_d3,
-            "coinc_13": r.coinc_13,
-            "coinc_23": r.coinc_23,
-        }
-        for r in records
-    ]
-    return json.dumps(payload) + "\n"
-
-
 def estimate_to_json(estimate: SEstimate) -> str:
     payload = {
         "value": estimate.value,
@@ -511,32 +482,30 @@ def estimate_to_json(estimate: SEstimate) -> str:
     return json.dumps(payload) + "\n"
 
 
+def _estimate_columns(est: SEstimate | None) -> tuple[float, float, float]:
+    return (math.nan,) * 3 if est is None else (est.value, est.std_error, est.sigma_violation)
+
+
+def _nodes_csv(names: list[str], axes: tuple[np.ndarray, ...], estimates, theory) -> str:
+    # One row per node of the axes' product, in row-major order.
+    nodes = itertools.product(*(axis.tolist() for axis in axes))
+    rows = (
+        (*node, *_estimate_columns(est), value)
+        for node, est, value in zip(nodes, estimates, theory.ravel().tolist())
+    )
+    return _csv([*names, "s_sim", "std_error", "sigma", "s_theory"], rows)
+
+
 def full_scan_surface_csv(result: FullScanResult) -> str:
     """Surface nodes as rows: angles, simulated estimate, and theory.
 
     Nodes without coincidence data carry nan in the simulated columns.
     """
-    lines = ["theta_b,theta_c,s_sim,std_error,sigma,s_theory"]
-    for i, tb in enumerate(result.theta_b_axis):
-        for j, tc in enumerate(result.theta_c_axis):
-            est = result.surface[i][j]
-            if est is None:
-                sim = "nan,nan,nan"
-            else:
-                sim = f"{_fmt(est.value)},{_fmt(est.std_error)},{_fmt(est.sigma_violation)}"
-            lines.append(
-                f"{_fmt(tb)},{_fmt(tc)},{sim},{_fmt(result.surface_theory[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    axes = (result.theta_b_axis, result.theta_c_axis)
+    estimates = itertools.chain.from_iterable(result.surface)
+    return _nodes_csv(["theta_b", "theta_c"], axes, estimates, result.surface_theory)
 
 
 def full_scan_profile_csv(result: FullScanResult) -> str:
     """Profile nodes as rows: angle, simulated estimate, and theory."""
-    lines = ["theta_c,s_sim,std_error,sigma,s_theory"]
-    for j, tc in enumerate(result.theta_c_axis):
-        est = result.profile[j]
-        lines.append(
-            f"{_fmt(tc)},{_fmt(est.value)},{_fmt(est.std_error)},"
-            f"{_fmt(est.sigma_violation)},{_fmt(result.profile_theory[j])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _nodes_csv(["theta_c"], (result.theta_c_axis,), result.profile, result.profile_theory)

@@ -3,11 +3,17 @@
 Closed-form evaluation of S(theta_a, theta_b, theta_c), grid scanning at
 the bench's angular resolution, multistart global minimization, and
 plot-ready CSV/JSON export of scanned surfaces.
+
+Every CSV file the package writes, here and in the bench, goes through
+``_csv``: 6 fractional digits (``CSV_DECIMALS``), never ``-0.000000``,
+``nan`` for a data hole, commas, and an LF after every line.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +23,8 @@ from .qubit import canonical_degrees
 AXIS_NAMES = ("theta_a", "theta_b", "theta_c")
 #: Fractional digits written by the CSV exporter.
 CSV_DECIMALS = 6
+_CSV_SPEC = f".{CSV_DECIMALS}f"
+_NEGATIVE_ZERO = f"-{0:{_CSV_SPEC}}"
 #: Refined points tying the minimum within this are reported as degenerate.
 DEGENERACY_ATOL = 1e-4
 #: Number of coarse-grid nodes used to start local refinement.
@@ -31,6 +39,13 @@ def _check_grid_size(nodes: float) -> None:
         raise ValueError(f"grid of {nodes:.4g} nodes exceeds the cap of {MAX_GRID_NODES}")
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AngleTriple:
     """Three polarizer orientations in degrees, each canonical in [0, 180)."""
@@ -40,11 +55,8 @@ class AngleTriple:
     theta_c: float
 
     def __post_init__(self) -> None:
-        for name in ("theta_a", "theta_b", "theta_c"):
-            angle = float(getattr(self, name))
-            if not math.isfinite(angle):
-                raise ValueError(f"{name} must be finite, got {angle!r}")
-            object.__setattr__(self, name, canonical_degrees(angle))
+        for name in AXIS_NAMES:
+            object.__setattr__(self, name, canonical_degrees(_finite(name, getattr(self, name))))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta_a, self.theta_b, self.theta_c)
@@ -64,10 +76,7 @@ class ScanGrid:
 
     def __post_init__(self) -> None:
         for name in ("start", "stop", "step"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.step <= 0.0:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if self.start > self.stop:
@@ -179,8 +188,8 @@ def grid_scan(
     grids = [axis for axis in (axis_a, axis_b, axis_c) if isinstance(axis, ScanGrid)]
     _check_grid_size(math.prod(grid.size for grid in grids))
     axes = tuple(
-        axis.nodes() if isinstance(axis, ScanGrid) else np.array([float(axis)])
-        for axis in (axis_a, axis_b, axis_c)
+        axis.nodes() if isinstance(axis, ScanGrid) else np.array([_finite(name, axis)])
+        for name, axis in zip(AXIS_NAMES, (axis_a, axis_b, axis_c))
     )
     values = _s_array(
         axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]
@@ -239,8 +248,8 @@ def minimize_s(
     down to the angular ``tolerance`` in degrees.  The refined minimum is
     never above the best coarse node.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     if seed_grid is None:
@@ -282,42 +291,32 @@ def minimize_s(
     )
 
 
-def _free_axes(land: SLandscape) -> list[int]:
-    return [i for i, axis in enumerate(land.axes) if axis.size > 1]
-
-
 def _fmt(x: float) -> str:
-    text = f"{x:.{CSV_DECIMALS}f}"
+    text = f"{x:{_CSV_SPEC}}"
     # A hair below zero rounds to "-0.000000"; normalize the sign away.
-    return text[1:] if text == f"-{0:.{CSV_DECIMALS}f}" else text
+    return text[1:] if text == _NEGATIVE_ZERO else text
+
+
+def _csv(header: list[str], rows: Iterable[Iterable[float]]) -> str:
+    """The one CSV writer: header cells, then rows of numbers through _fmt."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows), ""]
+    return "\n".join(lines)
 
 
 def _to_csv(land: SLandscape) -> str:
-    free = _free_axes(land)
-    lines: list[str] = []
+    free = [i for i, axis in enumerate(land.axes) if axis.size > 1]
     if len(free) == 1:
-        axis_index = free[0]
-        lines.append(f"{AXIS_NAMES[axis_index]},S")
-        for angle, value in zip(land.axes[axis_index], land.values):
-            lines.append(f"{_fmt(angle)},{_fmt(value)}")
-    elif len(free) == 2:
-        row_index, col_index = free
-        grid = land.values.reshape(land.shape)
-        matrix = np.squeeze(grid, axis=[i for i in range(3) if i not in free][0])
-        header = [f"{AXIS_NAMES[row_index]}/{AXIS_NAMES[col_index]}"]
-        header += [_fmt(angle) for angle in land.axes[col_index]]
-        lines.append(",".join(header))
-        for row_angle, row in zip(land.axes[row_index], matrix):
-            lines.append(",".join([_fmt(row_angle)] + [_fmt(v) for v in row]))
-    else:
-        # Full cube (or a single fully-fixed node): long format.
-        lines.append(",".join(AXIS_NAMES) + ",S")
-        grid_a, grid_b, grid_c = np.meshgrid(*land.axes, indexing="ij")
-        for a, b, c, value in zip(
-            grid_a.ravel(), grid_b.ravel(), grid_c.ravel(), land.values
-        ):
-            lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(c)},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+        (i,) = free
+        return _csv([AXIS_NAMES[i], "S"], zip(land.axes[i].tolist(), land.values.tolist()))
+    if len(free) == 2:
+        row_axis, col_axis = (land.axes[i].tolist() for i in free)
+        header = [f"{AXIS_NAMES[free[0]]}/{AXIS_NAMES[free[1]]}", *map(_fmt, col_axis)]
+        matrix = land.values.reshape(len(row_axis), -1).tolist()
+        return _csv(header, ([angle, *row] for angle, row in zip(row_axis, matrix)))
+    # Full cube (or a single fully-fixed node): long format, row-major.
+    nodes = itertools.product(*(axis.tolist() for axis in land.axes))
+    rows = ((*node, value) for node, value in zip(nodes, land.values.tolist()))
+    return _csv([*AXIS_NAMES, "S"], rows)
 
 
 def _to_json(land: SLandscape) -> str:
@@ -331,9 +330,9 @@ def _to_json(land: SLandscape) -> str:
 def export_surface(land: SLandscape, format: str = "csv") -> str:
     """Render a landscape as a plot-ready document.
 
-    CSV uses 6 fractional digits, comma separators and LF line endings:
-    one (angle, S) row per node for a single free axis, a matrix with row
-    and column angle labels for two, and long (a, b, c, S) rows otherwise.
+    CSV follows the module's conventions, with one (angle, S) row per node
+    for a single free axis, a matrix with row and column angle labels for
+    two, and long (a, b, c, S) rows otherwise.
     JSON carries the axes and the flat row-major values at full precision.
     """
     if format == "csv":
@@ -359,24 +358,15 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
 
     lines = [line for line in document.split("\n") if line]
     header = lines[0].split(",")
-    placeholder = np.zeros(1)
-    if header == list(AXIS_NAMES) + ["S"]:
-        rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-        axes = tuple(np.unique(rows[:, i]) for i in range(3))
-        return SLandscape(axes=axes, values=rows[:, 3])
+    body = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    if header == [*AXIS_NAMES, "S"]:
+        axes = tuple(np.unique(body[:, i]) for i in range(3))
+        return SLandscape(axes=axes, values=body[:, 3])
+    axes = [np.zeros(1)] * 3
     if "/" in header[0]:
         row_name, col_name = header[0].split("/")
-        row_index = AXIS_NAMES.index(row_name)
-        col_index = AXIS_NAMES.index(col_name)
-        col_axis = np.array([float(cell) for cell in header[1:]])
-        body = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-        row_axis = body[:, 0]
-        axes = [placeholder, placeholder, placeholder]
-        axes[row_index] = row_axis
-        axes[col_index] = col_axis
+        axes[AXIS_NAMES.index(row_name)] = body[:, 0]
+        axes[AXIS_NAMES.index(col_name)] = np.array([float(cell) for cell in header[1:]])
         return SLandscape(axes=tuple(axes), values=body[:, 1:].ravel(order="C"))
-    axis_index = AXIS_NAMES.index(header[0])
-    body = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-    axes = [placeholder, placeholder, placeholder]
-    axes[axis_index] = body[:, 0]
+    axes[AXIS_NAMES.index(header[0])] = body[:, 0]
     return SLandscape(axes=tuple(axes), values=body[:, 1])

@@ -4,12 +4,14 @@ Analytic expectations come from the exact qubit probabilities; the bench
 must reproduce them statistically, with error bars that actually cover
 the spread (checked by standardized residuals over many seeds).
 """
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from pmlab import bench
 from pmlab.bench import (
     ConfigError,
     CountRecord,
@@ -18,8 +20,6 @@ from pmlab.bench import (
     InsufficientStatisticsError,
     SEstimate,
     Setting,
-    count_records_to_csv,
-    count_records_to_json,
     estimate_S,
     estimate_joint,
     estimate_to_json,
@@ -410,6 +410,23 @@ class TestRunFullScan:
         with pytest.raises(ValueError, match="exceeds the cap"):
             run_full_scan(cfg)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"theta_a": math.nan}, "theta_a"),
+            ({"theta_a": math.inf}, "theta_a"),
+            ({"theta_b_profile": 200.0}, "theta_b_profile"),
+            ({"theta_b_profile": -1.0}, "theta_b_profile"),
+            ({"theta_b_profile": math.nan}, "theta_b_profile"),
+        ],
+    )
+    def test_rejects_bad_angles_before_simulating(self, monkeypatch, kwargs, name):
+        calls = []
+        monkeypatch.setattr(bench, "simulate_setting", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=name):
+            run_full_scan(ExperimentConfig(p2_step=1.0, hwp_step=0.5), **kwargs)
+        assert calls == []
+
     def test_single_node_grid_yields_one_estimate(self):
         cfg = ExperimentConfig.ideal(1e5, rng_seed=1, p2_step=360.0, hwp_step=180.0)
         result = run_full_scan(cfg)
@@ -418,27 +435,6 @@ class TestRunFullScan:
 
 
 class TestSerialization:
-    def test_count_records_csv(self):
-        cfg = ExperimentConfig(rng_seed=2)
-        records = [
-            simulate_setting(cfg, Setting.for_angles(0.0, 30.0)),
-            simulate_setting(cfg, Setting.for_angles(20.0, 50.0)),
-        ]
-        doc = count_records_to_csv(records)
-        lines = doc.strip().split("\n")
-        assert lines[0].startswith("theta_prep,hwp_angle,theta_meas,duration,")
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "0.000000"
-        assert int(first[4]) == records[0].singles_d1
-
-    def test_count_records_json(self):
-        cfg = ExperimentConfig(rng_seed=2)
-        records = [simulate_setting(cfg, Setting.for_angles(20.0, 50.0))]
-        payload = json.loads(count_records_to_json(records))
-        assert payload[0]["coinc_13"] == records[0].coinc_13
-        assert payload[0]["theta_meas"] == 50.0
-
     def test_estimate_json(self):
         payload = json.loads(estimate_to_json(SEstimate(value=-0.4, std_error=0.02)))
         assert payload["value"] == -0.4
@@ -459,3 +455,13 @@ class TestSerialization:
         i90 = result.theta_b_axis.tolist().index(90.0)
         row = surface[1 + i90 * n_c].split(",")
         assert row[2] == "nan" and row[3] == "nan"
+
+    def test_full_scan_csv_bytes_pinned(self):
+        # sha256 recorded before the CSV writers were merged into one.
+        result = run_full_scan(ExperimentConfig(rng_seed=3))
+        assert hashlib.sha256(full_scan_surface_csv(result).encode()).hexdigest() == (
+            "cf7cc3e0920bda34803ff227f4d4d4fc9b9c1ced7ec5a33e24e4d95c5a806779"
+        )
+        assert hashlib.sha256(full_scan_profile_csv(result).encode()).hexdigest() == (
+            "264840ed8f7d1c83337cbc576fceb2d86f8c5169d60a82b8a34416e21416c9ae"
+        )

@@ -2,6 +2,8 @@
 import contextlib
 import io
 import json
+import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -79,6 +81,12 @@ class TestScan:
         )
         assert code == 1
 
+    def test_non_finite_fixed_angle_rejected(self, capsys, recwarn):
+        code, out, err = run(capsys, "scan", "--fix-b", "inf", "--step", "90")
+        assert code == 2 and out == ""
+        assert err == "error: theta_b must be finite, got inf\n"
+        assert len(recwarn) == 0
+
 
 class TestOptimize:
     def test_reports_minimum(self, capsys):
@@ -96,8 +104,10 @@ class TestOptimize:
         assert s90 == pytest.approx(s6, abs=1e-3)
 
     def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "optimize", "--tol", "-1")
-        assert code == 2
+        for value in ("-1", "nan", "inf"):
+            code, out, err = run(capsys, "optimize", "--tol", value)
+            assert code == 2 and out == ""
+            assert err.startswith("error: tolerance") and err.count("\n") == 1
 
     def test_step_over_node_cap_rejected(self, capsys):
         code, _, err = run(capsys, "optimize", "--step", "0.01")
@@ -284,6 +294,16 @@ class TestFullScan:
         assert code == 2 and out == ""
         assert "exceeds the cap" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [("--theta-a", "nan", "theta_a"), ("--theta-b", "200", "theta_b_profile")],
+    )
+    def test_bad_angle_is_usage_error(self, capsys, tmp_path, flag, value, name):
+        code, out, err = run(capsys, "full-scan", flag, value, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+        assert not (tmp_path / "surface.csv").exists()
+
     def test_missing_out_flag_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "full-scan", "--config", self.coarse_config(tmp_path))
         assert code == 2
@@ -295,3 +315,51 @@ class TestParser:
 
     def test_no_command(self, capsys):
         assert cli.main([]) == 2
+
+
+#: The float flags of every subcommand that takes them.
+FLOAT_FLAGS = {
+    "scan": ("--fix-a", "--fix-b", "--step"),
+    "optimize": ("--step", "--tol"),
+    "fit": ("--p-ab", "--p-bc", "--p-ac"),
+    "simulate": ("--theta-a", "--theta-b", "--theta-c"),
+    "full-scan": ("--theta-a", "--theta-b"),
+}
+# Grid steps come from a short list so that no example builds a large grid.
+STEPS = [90.0, 45.0, 30.0, 7.0, math.nan]
+# Plain float draws reach nan and +-inf too rarely to test them every run.
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def float_flag_sets(draw):
+    command = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
+    argv, values = [command], []
+    for flag in FLOAT_FLAGS[command]:
+        if flag == "--step":
+            value = draw(st.sampled_from(STEPS))
+        elif command == "fit" or draw(st.booleans()):
+            value = draw(FLOATS)
+        else:
+            continue
+        # "--flag=value" keeps argparse from reading "-inf" as an option.
+        argv.append(f"{flag}={value!r}")
+        values.append(value)
+    return argv, values
+
+
+class TestFloatFlags:
+    @settings(max_examples=100, deadline=None)
+    @given(float_flag_sets())
+    def test_any_float_flags_end_in_a_documented_code(self, tmp_path_factory, flags):
+        argv, values = flags
+        if argv[0] == "full-scan":
+            argv = argv + ["--out", str(tmp_path_factory.mktemp("full-scan"))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+        assert code in (0, 2, 3, 4, 5)
+        assert [str(w.message) for w in caught] == []
+        if not all(math.isfinite(value) for value in values):
+            assert code == 2

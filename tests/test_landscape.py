@@ -3,6 +3,7 @@
 Grid expectations were frozen from an independent enumeration of the
 closed form at the quoted nodes.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestScanGrid:
         for tiny in (1e-9, 5e-324):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 ScanGrid.full_range(tiny)
+
+    def test_grid_scan_rejects_non_finite_fixed_angles(self, recwarn):
+        grid = ScanGrid.full_range(90.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta_a must be finite"):
+                grid_scan(bad, grid, grid)
+            with pytest.raises(ValueError, match="theta_b must be finite"):
+                grid_scan(156.0, bad, grid)
+            with pytest.raises(ValueError, match="theta_c must be finite"):
+                grid_scan(156.0, 126.0, bad)
+        # Refused before evaluation, so numpy never sees the bad angle.
+        assert len(recwarn) == 0
 
 
 class TestSQuantum:
@@ -240,13 +253,31 @@ class TestMinimizeS:
         assert opt.s_min <= 0.0
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            minimize_s(ScanGrid.full_range(6.0), tolerance=0.0)
-        with pytest.raises(ValueError):
-            minimize_s(ScanGrid.full_range(6.0), tolerance=-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                minimize_s(ScanGrid.full_range(6.0), tolerance=bad)
+
+
+# sha256 of export_surface output on the 6-degree grid, recorded before the
+# CSV writers were merged into one; the 2-D and cube documents include
+# nodes whose values round to -0.000000 before sign normalization.
+EXPORT_SHA256 = {
+    "1d-csv": "fd432bf28fb8a4c35bf3a120e5d7073bdf8974bdf6b6a22ae9f475d8d661e6f5",
+    "2d-csv": "1c92dcd5c53ed9d512d92aeb0c84cc291de86f45b56e7a12b72f9d99daab149b",
+    "cube-csv": "fc5374fae4772d6cf2dc5ab14548aa6dfb5bf500e594702f60d3a1d39a47fb49",
+    "cube-json": "1e979fd661ba389b3c2a1d867ef9c88f04050371f83a086ec226151419ccb1b1",
+}
 
 
 class TestExport:
+    @pytest.mark.parametrize("case", sorted(EXPORT_SHA256))
+    def test_bytes_pinned(self, case):
+        layout, format = case.split("-")
+        grid = ScanGrid.full_range(6.0)
+        axes = {"1d": (156.0, 126.0, grid), "2d": (156.0, grid, grid), "cube": (grid,) * 3}
+        doc = export_surface(grid_scan(*axes[layout]), format)
+        assert hashlib.sha256(doc.encode()).hexdigest() == EXPORT_SHA256[case]
+
     def test_one_dimensional_csv(self):
         land = grid_scan(156.0, 126.0, ScanGrid.full_range(6.0))
         doc = export_surface(land, "csv")
