@@ -395,9 +395,10 @@ class FullScanResult:
 
     ``surface`` holds estimates at fixed ``theta_a`` over the (theta_b,
     theta_c) grid, row-major; ``profile`` additionally fixes theta_b.
-    Surface nodes whose preparation is orthogonal to the input collect no
-    coincidences and come back as None (a real data hole, not an error).
-    Theory arrays hold the exact witness at the same nodes.
+    Nodes of either that collect no coincidences, such as every node whose
+    preparation is orthogonal to the input, come back as None (a real data
+    hole, not an error).  Theory arrays hold the exact witness at the same
+    nodes.
     """
 
     theta_a: float
@@ -405,7 +406,7 @@ class FullScanResult:
     theta_b_axis: np.ndarray
     theta_c_axis: np.ndarray
     surface: list[list[SEstimate | None]]
-    profile: list[SEstimate]
+    profile: list[SEstimate | None]
     surface_theory: np.ndarray
     profile_theory: np.ndarray
 
@@ -452,7 +453,7 @@ def run_full_scan(
             return None
 
     surface = [[witness_or_none(tb, tc) for tc in theta_c_axis] for tb in theta_b_axis]
-    profile = [_witness(cfg, records, theta_a, theta_b_profile, tc) for tc in theta_c_axis]
+    profile = [witness_or_none(theta_b_profile, tc) for tc in theta_c_axis]
 
     surface_theory = np.array(
         [[s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis] for tb in theta_b_axis]
@@ -488,12 +489,11 @@ def _estimate_columns(est: SEstimate | None) -> tuple[float, float, float]:
 
 def _nodes_csv(names: list[str], axes: tuple[np.ndarray, ...], estimates, theory) -> str:
     # One row per node of the axes' product, in row-major order.
-    nodes = itertools.product(*(axis.tolist() for axis in axes))
-    rows = (
-        (*node, *_estimate_columns(est), value)
-        for node, est, value in zip(nodes, estimates, theory.ravel().tolist())
+    numbers = itertools.chain.from_iterable(
+        (*_estimate_columns(est), value) for est, value in zip(estimates, theory.ravel().tolist())
     )
-    return _csv([*names, "s_sim", "std_error", "sigma", "s_theory"], rows)
+    header = [*names, "s_sim", "std_error", "sigma", "s_theory"]
+    return _csv(header, [axis.tolist() for axis in axes], numbers)
 
 
 def full_scan_surface_csv(result: FullScanResult) -> str:
@@ -507,5 +507,8 @@ def full_scan_surface_csv(result: FullScanResult) -> str:
 
 
 def full_scan_profile_csv(result: FullScanResult) -> str:
-    """Profile nodes as rows: angle, simulated estimate, and theory."""
+    """Profile nodes as rows: angle, simulated estimate, and theory.
+
+    Nodes without coincidence data carry nan in the simulated columns.
+    """
     return _nodes_csv(["theta_c"], (result.theta_c_axis,), result.profile, result.profile_theory)

@@ -78,12 +78,22 @@ class ClassicalEnsemble:
     weights: Mapping[GeneralizedState, float]
 
     def __post_init__(self) -> None:
-        unknown = [key for key in self.weights if key not in ALL_STATES]
-        if unknown:
-            raise ValueError(f"weights keyed by unknown states: {unknown!r}")
-        # Re-key in canonical state order so downstream sums are
-        # deterministic regardless of how the mapping was built.
-        ordered = {state: float(self.weights.get(state, 0.0)) for state in ALL_STATES}
+        weights = self.weights
+        if (
+            type(weights) is dict
+            and tuple(weights) == ALL_STATES
+            and all(type(w) is float for w in weights.values())
+        ):
+            # Already canonical (tuple equality checks identity first):
+            # copying keeps the keys' stored hashes, so none is rehashed.
+            ordered = weights.copy()
+        else:
+            unknown = [key for key in weights if key not in ALL_STATES]
+            if unknown:
+                raise ValueError(f"weights keyed by unknown states: {unknown!r}")
+            # Re-key in canonical state order so downstream sums are
+            # deterministic regardless of how the mapping was built.
+            ordered = {state: float(weights.get(state, 0.0)) for state in ALL_STATES}
         for state, w in ordered.items():
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"weight for {state.label()} out of [0, 1]: {w!r}")
@@ -103,10 +113,10 @@ class ClassicalEnsemble:
     @classmethod
     def from_weights(cls, values: Iterable[float]) -> "ClassicalEnsemble":
         """Build from eight weights given in ``ALL_STATES`` order."""
-        vals = list(values)
+        vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
         if len(vals) != len(ALL_STATES):
             raise ValueError(f"expected {len(ALL_STATES)} weights, got {len(vals)}")
-        return cls(dict(zip(ALL_STATES, vals)))
+        return cls(dict(zip(ALL_STATES, map(float, vals))))
 
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[state] for state in ALL_STATES])
@@ -126,9 +136,12 @@ class JointTriple:
                 raise ValueError(f"{name} out of [0, 1]: {p!r}")
 
 
+_SIMPLEX_ALPHA = np.ones(len(ALL_STATES))
+
+
 def random_ensemble(rng: np.random.Generator) -> ClassicalEnsemble:
     """Draw an ensemble uniformly from the weight simplex."""
-    return ClassicalEnsemble.from_weights(rng.dirichlet(np.ones(len(ALL_STATES))))
+    return ClassicalEnsemble.from_weights(rng.dirichlet(_SIMPLEX_ALPHA))
 
 
 def atom_joint(state: GeneralizedState, pair: OutcomePair) -> float:
@@ -144,9 +157,23 @@ def atom_joint(state: GeneralizedState, pair: OutcomePair) -> float:
     return 1.0 if state.outcome_of(prop1) is out1 and state.outcome_of(prop2) is out2 else 0.0
 
 
+def _matches(pair: OutcomePair) -> tuple[int, ...]:
+    # The pair's indicator row: positions in ALL_STATES where atom_joint is 1.
+    return tuple(i for i, state in enumerate(ALL_STATES) if atom_joint(state, pair))
+
+
+def _joint(weights: list[float], matches: tuple[int, ...]) -> float:
+    # Same value, bit for bit, as summing weight * indicator over all
+    # eight states in order: the skipped terms are exact zeros.
+    return sum([weights[i] for i in matches], 0.0)
+
+
+_MATCH_AB, _MATCH_BC, _MATCH_AC = map(_matches, (PAIR_AB, PAIR_BC, PAIR_AC))
+
+
 def ensemble_joint(ens: ClassicalEnsemble, pair: OutcomePair) -> float:
     """Weighted joint probability of the pair over the ensemble."""
-    return sum(w * atom_joint(state, pair) for state, w in ens.weights.items())
+    return _joint(list(ens.weights.values()), _matches(pair))
 
 
 def s_classical(ens: ClassicalEnsemble) -> float:
@@ -155,19 +182,15 @@ def s_classical(ens: ClassicalEnsemble) -> float:
     Non-negative for every ensemble; reaches 1 only on two of the eight
     vertex assignments.
     """
-    return (
-        ensemble_joint(ens, PAIR_AB)
-        + ensemble_joint(ens, PAIR_BC)
-        - ensemble_joint(ens, PAIR_AC)
-    )
+    w = list(ens.weights.values())
+    return _joint(w, _MATCH_AB) + _joint(w, _MATCH_BC) - _joint(w, _MATCH_AC)
 
 
 def joint_triple(ens: ClassicalEnsemble) -> JointTriple:
     """The three bound-relevant joints of an ensemble, as a triple."""
+    w = list(ens.weights.values())
     return JointTriple(
-        p_ab=ensemble_joint(ens, PAIR_AB),
-        p_bc=ensemble_joint(ens, PAIR_BC),
-        p_ac=ensemble_joint(ens, PAIR_AC),
+        p_ab=_joint(w, _MATCH_AB), p_bc=_joint(w, _MATCH_BC), p_ac=_joint(w, _MATCH_AC)
     )
 
 

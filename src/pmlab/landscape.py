@@ -278,7 +278,8 @@ def minimize_s(
         if value > s_min + DEGENERACY_ATOL:
             continue
         triple = AngleTriple(*point)
-        key = tuple(round(x, 1) for x in triple.as_tuple())
+        # Keyed on the circle: 179.97 and 0.01 both round to the 0.0 key.
+        key = tuple(round(x, 1) % 180.0 for x in triple.as_tuple())
         if key not in seen:
             seen.add(key)
             candidates.append(triple)
@@ -297,26 +298,32 @@ def _fmt(x: float) -> str:
     return text[1:] if text == _NEGATIVE_ZERO else text
 
 
-def _csv(header: list[str], rows: Iterable[Iterable[float]]) -> str:
-    """The one CSV writer: header cells, then rows of numbers through _fmt."""
-    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows), ""]
-    return "\n".join(lines)
+def _csv(header: list[str], axes: list[list[float]], numbers: Iterable[float]) -> str:
+    """The one CSV writer: header cells, then one line per node of ``axes``.
+
+    Lines run over the product of ``axes`` in row-major order and start
+    with one cell per axis, each axis value through _fmt once rather than
+    once per line; the next ``len(header) - len(axes)`` of ``numbers``
+    complete the line.
+    """
+    labels = itertools.product(*(tuple(map(_fmt, axis)) for axis in axes))
+    # One iterator repeated: zip groups consecutive cells into a line's tail.
+    tails = zip(*[map(_fmt, numbers)] * (len(header) - len(axes)))
+    return "\n".join([",".join(header), *map(",".join, map(tuple.__add__, labels, tails)), ""])
 
 
 def _to_csv(land: SLandscape) -> str:
     free = [i for i, axis in enumerate(land.axes) if axis.size > 1]
+    values = land.values.tolist()
     if len(free) == 1:
         (i,) = free
-        return _csv([AXIS_NAMES[i], "S"], zip(land.axes[i].tolist(), land.values.tolist()))
+        return _csv([AXIS_NAMES[i], "S"], [land.axes[i].tolist()], values)
     if len(free) == 2:
         row_axis, col_axis = (land.axes[i].tolist() for i in free)
         header = [f"{AXIS_NAMES[free[0]]}/{AXIS_NAMES[free[1]]}", *map(_fmt, col_axis)]
-        matrix = land.values.reshape(len(row_axis), -1).tolist()
-        return _csv(header, ([angle, *row] for angle, row in zip(row_axis, matrix)))
+        return _csv(header, [row_axis], values)
     # Full cube (or a single fully-fixed node): long format, row-major.
-    nodes = itertools.product(*(axis.tolist() for axis in land.axes))
-    rows = ((*node, value) for node, value in zip(nodes, land.values.tolist()))
-    return _csv([*AXIS_NAMES, "S"], rows)
+    return _csv([*AXIS_NAMES, "S"], [axis.tolist() for axis in land.axes], values)
 
 
 def _to_json(land: SLandscape) -> str:
@@ -347,7 +354,9 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
 
     The 1-D and 2-D CSV layouts do not record the angles of the fixed
     axes, so those come back as single zero nodes; values and free axes
-    round-trip exactly at the written precision.
+    round-trip exactly at the written precision.  A CSV document that is
+    empty, has no data rows, or has rows whose cell count differs from the
+    header's raises ValueError.
     """
     if format == "json":
         payload = json.loads(document)
@@ -356,9 +365,18 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
 
-    lines = [line for line in document.split("\n") if line]
-    header = lines[0].split(",")
-    body = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    header_line, _, rows = document.lstrip("\n").partition("\n")
+    if not header_line:
+        raise ValueError("CSV surface document is empty")
+    if not rows or rows.isspace():
+        raise ValueError("CSV surface document has a header but no data rows")
+    header = header_line.split(",")
+    # numpy's C reader parses each cell to the same double as float().  A
+    # list of lines peaks lower than a StringIO, which holds 4 bytes a
+    # character; loadtxt skips the blank last line.
+    body = np.loadtxt(rows.split("\n"), delimiter=",", comments=None, ndmin=2)
+    if body.shape[1] != len(header):
+        raise ValueError(f"CSV rows have {body.shape[1]} cells, the header has {len(header)}")
     if header == [*AXIS_NAMES, "S"]:
         axes = tuple(np.unique(body[:, i]) for i in range(3))
         return SLandscape(axes=axes, values=body[:, 3])

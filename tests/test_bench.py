@@ -392,6 +392,20 @@ class TestRunFullScan:
                 result.profile_theory[j], abs=5 * max(est.std_error, 1e-6)
             )
 
+    def test_profile_through_orthogonal_preparation_has_no_data(self):
+        # theta_b = 90 passes nothing into the b-then-c joint: every profile
+        # node is a hole, and the surface is the same as for any profile.
+        result = run_full_scan(self.coarse_config(), theta_b_profile=90.0)
+        assert result.profile == [None] * result.theta_c_axis.size
+        assert result.profile_theory.tolist() == [
+            s_quantum(AngleTriple(result.theta_a, 90.0, tc)) for tc in result.theta_c_axis
+        ]
+        rows = full_scan_profile_csv(result).splitlines()[1:]
+        assert all(row.split(",")[1:4] == ["nan"] * 3 for row in rows)
+        assert full_scan_surface_csv(result) == full_scan_surface_csv(
+            run_full_scan(self.coarse_config())
+        )
+
     def test_deterministic(self):
         r1 = run_full_scan(self.coarse_config())
         r2 = run_full_scan(self.coarse_config())

@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmlab.classical import (
     ALL_STATES,
@@ -36,6 +38,21 @@ P, M = Outcome.PLUS, Outcome.MINUS
 QUANTUM_P_AB = 0.2581256482414399
 QUANTUM_P_BC = 0.15763301212073777
 QUANTUM_P_AC = 0.8191895636797903
+
+
+def reference_joint(ens: ClassicalEnsemble, pair) -> float:
+    """Weight times the atom indicator, summed over all eight states in order."""
+    return sum(w * atom_joint(state, pair) for state, w in ens.weights.items())
+
+
+# Ensembles for the bit-exact properties: Dirichlet draws from any seed,
+# and normalized raw weights, which hit exact zeros and point masses.
+ensembles = st.one_of(
+    st.integers(0, 2**63 - 1).map(lambda seed: random_ensemble(np.random.default_rng(seed))),
+    st.lists(st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1.0), min_size=8, max_size=8)
+    .filter(lambda raw: sum(raw) > 0.0)
+    .map(lambda raw: ClassicalEnsemble.from_weights(np.array(raw) / sum(raw))),
+)
 
 
 def oracle_vertex_witness(alpha: int, beta: int, gamma: int) -> int:
@@ -110,6 +127,30 @@ class TestClassicalEnsemble:
         with pytest.raises(ValueError):
             ClassicalEnsemble.from_weights([1.0])
 
+    def test_rejects_out_of_range_canonical_weights(self):
+        weights = dict(zip(ALL_STATES, [1.5, -0.5] + [0.0] * 6))
+        with pytest.raises(ValueError, match=r"weight for \(a\+ b\+ c\+\) out of \[0, 1\]"):
+            ClassicalEnsemble(weights)
+        with pytest.raises(ValueError, match="must sum to 1"):
+            ClassicalEnsemble(dict(zip(ALL_STATES, [0.5] + [0.0] * 7)))
+
+    def test_canonical_mapping_is_copied_not_shared(self):
+        weights = dict(zip(ALL_STATES, [0.25, 0.75] + [0.0] * 6))
+        ens = ClassicalEnsemble(weights)
+        weights[ALL_STATES[0]] = 1.0
+        assert ens.weights[ALL_STATES[0]] == 0.25
+
+    def test_weights_become_plain_floats_in_canonical_order(self):
+        for ens in (
+            ClassicalEnsemble(dict(zip(reversed(ALL_STATES), [0.0] * 7 + [1.0]))),
+            ClassicalEnsemble(dict(zip(ALL_STATES, [np.float64(1.0)] + [0.0] * 7))),
+            ClassicalEnsemble(dict(zip(ALL_STATES, [1] + [0] * 7))),
+            ClassicalEnsemble.from_weights(np.eye(8)[0]),
+        ):
+            assert tuple(ens.weights) == ALL_STATES
+            assert all(type(w) is float for w in ens.weights.values())
+            assert ens.weights[ALL_STATES[0]] == 1.0
+
     def test_weight_vector_order(self):
         ens = ClassicalEnsemble.point_mass(ALL_STATES[3])
         vec = ens.weight_vector()
@@ -142,8 +183,26 @@ class TestEnsembleJoint:
                 swapped = ((y, M), (x, P))
                 assert ensemble_joint(ens, pair) == ensemble_joint(ens, swapped)
 
+    def test_rejects_repeated_property(self):
+        with pytest.raises(ValueError, match="two distinct properties"):
+            ensemble_joint(ClassicalEnsemble.uniform(), ((Property.A, P), (Property.A, M)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ens=ensembles)
+    def test_bit_identical_to_the_indicator_sum(self, ens):
+        for (x, y) in itertools.permutations((Property.A, Property.B, Property.C), 2):
+            for pair in itertools.product(((x, P), (x, M)), ((y, P), (y, M))):
+                assert ensemble_joint(ens, pair) == reference_joint(ens, pair)
+
 
 class TestWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(ens=ensembles)
+    def test_bit_identical_to_the_indicator_sums(self, ens):
+        p_ab, p_bc, p_ac = (reference_joint(ens, p) for p in (PAIR_AB, PAIR_BC, PAIR_AC))
+        assert s_classical(ens) == p_ab + p_bc - p_ac
+        assert joint_triple(ens) == JointTriple(p_ab=p_ab, p_bc=p_bc, p_ac=p_ac)
+
     def test_vertex_values(self):
         values = [value for _, value in enumerate_vertices()]
         assert values == [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]

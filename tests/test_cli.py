@@ -266,6 +266,18 @@ class TestFullScan:
         assert profile.startswith("theta_c,s_sim,std_error,sigma,s_theory\n")
         assert len(profile.strip().split("\n")) == 1 + 7
 
+    def test_profile_without_coincidences_is_written_as_holes(self, capsys, tmp_path):
+        out_dir = tmp_path / "scan_out"
+        code, out, err = run(
+            capsys, "full-scan", "--config", self.coarse_config(tmp_path),
+            "--theta-b", "90", "--out", str(out_dir),
+        )
+        assert code == 0 and err == ""
+        assert out == f"wrote {out_dir / 'surface.csv'}\nwrote {out_dir / 'profile.csv'}\n"
+        rows = (out_dir / "profile.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 7
+        assert all(row.split(",")[1:4] == ["nan"] * 3 for row in rows)
+
     def test_deterministic_files(self, capsys, tmp_path):
         config = self.coarse_config(tmp_path)
         run(capsys, "full-scan", "--config", config, "--out", str(tmp_path / "a"))

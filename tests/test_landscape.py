@@ -4,12 +4,18 @@ Grid expectations were frozen from an independent enumeration of the
 closed form at the quoted nodes.
 """
 import hashlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmlab import landscape
 from pmlab.landscape import (
+    AXIS_NAMES,
     AngleTriple,
     Optimum,
     ScanGrid,
@@ -20,6 +26,7 @@ from pmlab.landscape import (
     parse_surface,
     s_quantum,
 )
+from pmlab.landscape import _s_array
 from pmlab.qubit import H, Outcome, PropertySetting, joint_probability
 
 # Frozen closed-form values at the quoted orientations.
@@ -142,6 +149,21 @@ class TestSQuantum:
                 witness_via_joints(a, b, c), abs=1e-12
             )
 
+    # Anywhere in and outside [0, 180), with extra weight just around the
+    # angles where the closed form's factors vanish.
+    angles = st.floats(-540.0, 540.0) | st.builds(
+        float.__add__,
+        st.sampled_from([-90.0, 0.0, 90.0, 180.0, 270.0]),
+        st.sampled_from([0.0, 5e-324]) | st.floats(-1e-6, 1e-6),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=angles, b=angles, c=angles)
+    def test_kernels_match_the_chain_rule_joints(self, a, b, c):
+        reference = witness_via_joints(a, b, c)
+        assert abs(s_quantum(AngleTriple(a, b, c)) - reference) <= 1e-12
+        assert abs(float(_s_array(a, b, c)) - reference) <= 1e-12
+
 
 class TestGridScan:
     def test_single_node(self):
@@ -252,6 +274,13 @@ class TestMinimizeS:
         opt = minimize_s(ScanGrid(0.0, 0.0, 6.0), tolerance=0.01)
         assert opt.s_min <= 0.0
 
+    def test_candidates_are_deduplicated_on_the_circle(self, monkeypatch):
+        # Refined points at 179.97 and 0.01 degrees are one minimum.
+        points = iter([(179.97, 60.0, 30.0), (0.01, 60.0, 30.0)])
+        monkeypatch.setattr(landscape, "_cube_search", lambda *args: (next(points), -0.5, 1))
+        opt = minimize_s(ScanGrid.full_range(90.0), starts=2)
+        assert [c.as_tuple() for c in opt.candidates] == [(0.01, 60.0, 30.0)]
+
     def test_rejects_bad_tolerance(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tolerance"):
@@ -269,6 +298,79 @@ EXPORT_SHA256 = {
 }
 
 
+def cells_by_float(document: str) -> tuple[list[str], np.ndarray]:
+    """Header cells and the body parsed the slow way, float() per cell."""
+    lines = [line for line in document.split("\n") if line]
+    body = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(body)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def csv_documents(draw):
+    """A document in one of the three CSV layouts, cells as _fmt or repr writes them."""
+    write = draw(st.sampled_from([landscape._fmt, repr]))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    # Distinct once written, so the cube's np.unique sees every node.
+    axis = st.lists(number, min_size=2, max_size=4, unique_by=lambda x: float(write(x)))
+    layout = draw(st.sampled_from(["1d", "2d", "cube"]))
+    if layout == "cube":
+        header, axes, width = [*AXIS_NAMES, "S"], [draw(axis) for _ in range(3)], 1
+    elif layout == "2d":
+        columns = draw(axis)
+        header, axes, width = ["theta_b/theta_c", *map(write, columns)], [draw(axis)], len(columns)
+    else:
+        header, axes, width = ["theta_c", "S"], [draw(axis)], 1
+    lines = [",".join(header)]
+    for node in itertools.product(*axes):
+        tail = draw(st.lists(number, min_size=width, max_size=width))
+        lines.append(",".join(map(write, [*node, *tail])))
+    return layout, "\n".join(lines) + "\n"
+
+
+class TestParse:
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_documents())
+    def test_bit_identical_to_float_per_cell(self, case):
+        layout, document = case
+        header, body = cells_by_float(document)
+        parsed = parse_surface(document, "csv")
+        if layout == "cube":
+            assert same_bits(parsed.values, body[:, 3])
+            for axis, column in zip(parsed.axes, body[:, :3].T):
+                assert same_bits(axis, np.unique(column))
+        elif layout == "2d":
+            assert same_bits(parsed.values, body[:, 1:].ravel())
+            assert same_bits(parsed.axes[1], body[:, 0])
+            assert same_bits(parsed.axes[2], [float(cell) for cell in header[1:]])
+        else:
+            assert same_bits(parsed.values, body[:, 1])
+            assert same_bits(parsed.axes[2], body[:, 0])
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ("", "empty"),
+            ("\n\n", "empty"),
+            ("theta_c,S\n", "no data rows"),
+            ("theta_c,S\n\n", "no data rows"),
+            ("theta_c,S\n0.0\n6.0\n", "1 cells, the header has 2"),
+            ("theta_a,theta_b,theta_c,S\n0.0,0.0,0.0,0.0,0.0\n", "5 cells, the header has 4"),
+            ("theta_c,S\n0.0,0.5\n6.0\n", "number of columns changed"),
+            ("theta_c,S\n0.0,#0.5\n", "could not convert"),
+        ],
+    )
+    def test_malformed_csv_is_a_value_error_without_warnings(self, document, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                parse_surface(document, "csv")
+
+
 class TestExport:
     @pytest.mark.parametrize("case", sorted(EXPORT_SHA256))
     def test_bytes_pinned(self, case):
@@ -277,6 +379,14 @@ class TestExport:
         axes = {"1d": (156.0, 126.0, grid), "2d": (156.0, grid, grid), "cube": (grid,) * 3}
         doc = export_surface(grid_scan(*axes[layout]), format)
         assert hashlib.sha256(doc.encode()).hexdigest() == EXPORT_SHA256[case]
+
+    def test_four_degree_cube_bytes_pinned(self):
+        # Recorded before axis labels were formatted once per axis value.
+        grid = ScanGrid.full_range(4.0)
+        doc = export_surface(grid_scan(grid, grid, grid), "csv")
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "357f5357f5c0bd898020d1dba36486467ab3366428700b378291a1ab018ea5d4"
+        )
 
     def test_one_dimensional_csv(self):
         land = grid_scan(156.0, 126.0, ScanGrid.full_range(6.0))
