@@ -140,7 +140,7 @@ class Setting:
     hwp_angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_prep", float(self.theta_prep))
+        object.__setattr__(self, "theta_prep", _finite("theta_prep", self.theta_prep))
         object.__setattr__(self, "hwp_angle", float(self.hwp_angle))
         if not 0.0 <= self.hwp_angle <= 90.0:
             raise ValueError(f"hwp_angle must be in [0, 90], got {self.hwp_angle!r}")

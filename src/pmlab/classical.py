@@ -10,6 +10,8 @@ probability triple is reachable classically at all.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -70,6 +72,9 @@ PAIR_AB: OutcomePair = ((Property.A, Outcome.PLUS), (Property.B, Outcome.MINUS))
 PAIR_BC: OutcomePair = ((Property.B, Outcome.PLUS), (Property.C, Outcome.MINUS))
 PAIR_AC: OutcomePair = ((Property.A, Outcome.PLUS), (Property.C, Outcome.MINUS))
 
+#: Every state at weight zero, in canonical order; ensembles start from a copy.
+_NO_WEIGHTS = dict.fromkeys(ALL_STATES, 0.0)
+
 
 @dataclass(frozen=True)
 class ClassicalEnsemble:
@@ -78,23 +83,17 @@ class ClassicalEnsemble:
     weights: Mapping[GeneralizedState, float]
 
     def __post_init__(self) -> None:
-        weights = self.weights
-        if (
-            type(weights) is dict
-            and tuple(weights) == ALL_STATES
-            and all(type(w) is float for w in weights.values())
-        ):
-            # Already canonical (tuple equality checks identity first):
-            # copying keeps the keys' stored hashes, so none is rehashed.
-            ordered = weights.copy()
-        else:
-            unknown = [key for key in weights if key not in ALL_STATES]
-            if unknown:
-                raise ValueError(f"weights keyed by unknown states: {unknown!r}")
-            # Re-key in canonical state order so downstream sums are
-            # deterministic regardless of how the mapping was built.
-            ordered = {state: float(weights.get(state, 0.0)) for state in ALL_STATES}
+        # Copying the canonical table keeps its order and its keys' stored
+        # hashes, and update adds a key only for an unknown state.  Storing a
+        # value hashes its key again, so only non-float weights are rewritten.
+        ordered = _NO_WEIGHTS.copy()
+        ordered.update(self.weights)
+        if len(ordered) > len(ALL_STATES):
+            unknown = list(ordered)[len(ALL_STATES):]
+            raise ValueError(f"weights keyed by unknown states: {unknown!r}")
         for state, w in ordered.items():
+            if type(w) is not float:
+                w = ordered[state] = float(w)
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"weight for {state.label()} out of [0, 1]: {w!r}")
         total = sum(ordered.values())
@@ -113,10 +112,10 @@ class ClassicalEnsemble:
     @classmethod
     def from_weights(cls, values: Iterable[float]) -> "ClassicalEnsemble":
         """Build from eight weights given in ``ALL_STATES`` order."""
-        vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        vals = list(map(float, values))
         if len(vals) != len(ALL_STATES):
             raise ValueError(f"expected {len(ALL_STATES)} weights, got {len(vals)}")
-        return cls(dict(zip(ALL_STATES, map(float, vals))))
+        return cls(dict(zip(ALL_STATES, vals)))
 
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[state] for state in ALL_STATES])
@@ -212,49 +211,46 @@ def enumerate_vertices() -> list[tuple[GeneralizedState, float]]:
     return [(state, s_classical(ClassicalEnsemble.point_mass(state))) for state in ALL_STATES]
 
 
-# Indicator of each vertex assignment against the three pairs, in
-# ALL_STATES column order; the feasible triples are the convex hull of
-# these columns.
-_PAIR_MATRIX = np.array(
-    [[atom_joint(state, pair) for state in ALL_STATES] for pair in (PAIR_AB, PAIR_BC, PAIR_AC)]
+# The fit's LP, over the eight weights and the worst-case deviation d:
+# minimize d subject to -d <= (indicator row . weights) - target <= d for
+# each pair and weights summing to 1, every variable at linprog's default
+# bounds [0, inf).  Only the target, which enters b_ub alone, varies.
+_LP_COST = np.array([0.0] * len(ALL_STATES) + [1.0])
+_LP_A_UB = np.array(
+    [
+        [sign * (i in matches) for i in range(len(ALL_STATES))] + [-1.0]
+        for sign in (1.0, -1.0)
+        for matches in (_MATCH_AB, _MATCH_BC, _MATCH_AC)
+    ]
 )
+_LP_A_EQ = np.array([[1.0] * len(ALL_STATES) + [0.0]])
 
 
 def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> ClassicalEnsemble | None:
     """Find an ensemble reproducing the triple, or None if none exists.
 
     Minimizes the worst-case deviation over the three joints by linear
-    programming over the eight weights.  Returns an ensemble only when the
-    optimal deviation is within ``tolerance`` (loose enough to absorb
-    counting noise on estimated inputs); re-evaluating the triple from the
-    returned ensemble reproduces the input to that accuracy.
+    programming over the eight weights.  The LP is fixed at import; only
+    its target, the triple, changes per call.  Returns an ensemble only
+    when the optimal deviation is within ``tolerance`` (loose enough to
+    absorb counting noise on estimated inputs); re-evaluating the triple
+    from the returned ensemble reproduces the input to that accuracy.
+    ``tolerance`` must be a finite non-negative number, else ValueError.
     """
+    number = isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
+    if not (number and 0.0 <= tolerance < math.inf):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     target = np.array([t.p_ab, t.p_bc, t.p_ac])
-    # Variables: eight weights plus the worst-case deviation being minimized.
-    n_states = len(ALL_STATES)
-    cost = np.zeros(n_states + 1)
-    cost[n_states] = 1.0
-    a_ub = np.vstack(
-        [
-            np.hstack([_PAIR_MATRIX, -np.ones((3, 1))]),
-            np.hstack([-_PAIR_MATRIX, -np.ones((3, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([target, -target])
-    a_eq = np.zeros((1, n_states + 1))
-    a_eq[0, :n_states] = 1.0
     result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
+        _LP_COST,
+        A_ub=_LP_A_UB,
+        b_ub=np.concatenate([target, -target]),
+        A_eq=_LP_A_EQ,
         b_eq=[1.0],
-        bounds=[(0.0, None)] * (n_states + 1),
         method="highs",
     )
     if not result.success or result.fun > tolerance:
         return None
-    weights = np.asarray(result.x[:n_states])
+    weights = result.x[: len(ALL_STATES)]
     weights = np.where(weights < WEIGHT_CLAMP, 0.0, weights)
-    weights = weights / weights.sum()
-    return ClassicalEnsemble.from_weights(weights)
+    return ClassicalEnsemble.from_weights(weights / weights.sum())

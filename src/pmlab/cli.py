@@ -78,14 +78,12 @@ def _cmd_classical_verify(args: argparse.Namespace) -> int:
         print(f"  {state.label()}  S = {value:g}")
 
     rng = np.random.default_rng(args.seed)
-    lo, hi = np.inf, -np.inf
+    vertex_values = [value for _, value in vertices]
+    lo, hi = min(vertex_values), max(vertex_values)
     for _ in range(args.samples):
         value = classical.s_classical(classical.random_ensemble(rng))
         lo = min(lo, value)
         hi = max(hi, value)
-    vertex_values = [value for _, value in vertices]
-    lo = min(lo, min(vertex_values))
-    hi = max(hi, max(vertex_values))
     print(f"random ensembles sampled: {args.samples}")
     print(f"observed S range: [{lo:.9f}, {hi:.9f}]")
 

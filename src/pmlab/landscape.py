@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -115,8 +116,8 @@ class SLandscape:
     def __post_init__(self) -> None:
         expected = 1
         for axis in self.axes:
-            if axis.size == 0:
-                raise ValueError("landscape axes must be non-empty")
+            if axis.size == 0 or not np.all(np.isfinite(axis)):
+                raise ValueError("landscape axes must be non-empty and finite")
             expected *= axis.size
         if self.values.size != expected:
             raise ValueError(f"expected {expected} values, got {self.values.size}")
@@ -250,8 +251,8 @@ def minimize_s(
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts!r}")
+    if not isinstance(starts, numbers.Integral) or isinstance(starts, bool) or starts < 1:
+        raise ValueError(f"starts must be an integer of at least 1, got {starts!r}")
     if seed_grid is None:
         seed_grid = ScanGrid.full_range()
 
@@ -356,12 +357,15 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     axes, so those come back as single zero nodes; values and free axes
     round-trip exactly at the written precision.  A CSV document that is
     empty, has no data rows, or has rows whose cell count differs from the
-    header's raises ValueError.
+    header's raises ValueError, as does a JSON document that is not an
+    object holding a list of three axis lists and a list of values.
     """
     if format == "json":
-        payload = json.loads(document)
-        axes = tuple(np.asarray(axis, dtype=float) for axis in payload["axes"])
-        return SLandscape(axes=axes, values=np.asarray(payload["values"], dtype=float))
+        match json.loads(document):
+            case {"axes": [list(), list(), list()] as axes, "values": list() as values}:
+                axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
+                return SLandscape(axes=axes, values=np.asarray(values, dtype=float))
+        raise ValueError('JSON surface must be {"axes": [3 lists], "values": list}')
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
 

@@ -104,6 +104,13 @@ class TestSetting:
             Setting.for_angles(0.0, 181.0)
         Setting(theta_prep=0.0, hwp_angle=90.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_preparation(self, bad):
+        with pytest.raises(ValueError, match="theta_prep must be finite"):
+            Setting(theta_prep=bad, hwp_angle=10.0)
+        with pytest.raises(ValueError, match="theta_prep must be finite"):
+            Setting.for_angles(bad, 20.0)
+
 
 class TestSimulateSetting:
     def test_bit_identical_for_same_seed(self):

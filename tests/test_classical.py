@@ -4,7 +4,9 @@ The independent oracle here is plain enumeration over sign tuples,
 written out in the tests without touching the module's own indicator
 machinery.
 """
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +124,9 @@ class TestClassicalEnsemble:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             ClassicalEnsemble({"not a state": 1.0})
+        mixed = {"x": 0.0, ALL_STATES[2]: 1.0, "y": 0.0}
+        with pytest.raises(ValueError, match=r"unknown states: \['x', 'y'\]$"):
+            ClassicalEnsemble(mixed)
 
     def test_from_weights_needs_eight(self):
         with pytest.raises(ValueError):
@@ -295,3 +300,48 @@ class TestFitClassical:
         for weight in ens.weights.values():
             assert weight == 0.0 or weight >= 1e-12
         assert sum(ens.weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300, True, False, "0.1", None]
+    )
+    def test_rejects_bad_tolerance(self, bad):
+        triple = JointTriple(p_ab=QUANTUM_P_AB, p_bc=QUANTUM_P_BC, p_ac=QUANTUM_P_AC)
+        with pytest.raises(ValueError, match="tolerance"):
+            fit_classical(triple, tolerance=bad)
+
+    def test_zero_and_integer_tolerances_are_numbers(self):
+        assert fit_classical(JointTriple(p_ab=1.0, p_bc=0.0, p_ac=1.0), tolerance=0) is not None
+        assert fit_classical(JointTriple(p_ab=0.9, p_bc=0.9, p_ac=0.9), tolerance=1) is not None
+
+    def test_weights_and_verdicts_pinned(self):
+        digest = hashlib.sha256()
+        for triple in FIT_PIN_TRIPLES:
+            ens = fit_classical(JointTriple(*triple))
+            cells = ["None"] if ens is None else [w.hex() for w in ens.weights.values()]
+            digest.update(" ".join([*map(float.hex, triple), *cells]).encode() + b"\n")
+        assert digest.hexdigest() == FIT_SHA256
+
+
+def _fit_pin_triples():
+    rng = np.random.default_rng(26)
+    inside = [joint_triple(random_ensemble(rng)) for _ in range(20)]
+    return [
+        (0.3, 0.2, 0.4),
+        (0.1, 0.2, 0.25),
+        (0.9, 0.9, 0.9),
+        (0.1, 0.1, 0.5),
+        (QUANTUM_P_AB, QUANTUM_P_BC, QUANTUM_P_AC),
+        *itertools.product((0.0, 0.5, 1.0), repeat=3),
+        *((t.p_ab, t.p_bc, t.p_ac) for t in inside),
+        *map(tuple, rng.random((20, 3)).tolist()),
+    ]
+
+
+# Feasible and infeasible triples, the corners and midpoints of the cube,
+# fitted ensembles' own triples and uniform random triples: 72 in all, 26
+# infeasible.  The digest covers every returned weight bit for bit and
+# each None, recorded before the LP became module constants.  It holds
+# for one HiGHS build (scipy 1.17.1); the LP has many optimal weightings
+# for a feasible triple, and another solver build may pick a different one.
+FIT_PIN_TRIPLES = _fit_pin_triples()
+FIT_SHA256 = "bccccc6daeb8a8208143c0cfd6e5d51a19815b42186ce2add4af4fd338fd508e"

@@ -286,6 +286,15 @@ class TestMinimizeS:
             with pytest.raises(ValueError, match="tolerance"):
                 minimize_s(ScanGrid.full_range(6.0), tolerance=bad)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3", True, None])
+    def test_rejects_bad_starts(self, bad):
+        with pytest.raises(ValueError, match="starts must be an integer"):
+            minimize_s(ScanGrid.full_range(90.0), starts=bad)
+
+    def test_numpy_integer_starts(self):
+        opt = minimize_s(ScanGrid.full_range(90.0), starts=np.int64(2))
+        assert opt == minimize_s(ScanGrid.full_range(90.0), starts=2)
+
 
 # sha256 of export_surface output on the 6-degree grid, recorded before the
 # CSV writers were merged into one; the 2-D and cube documents include
@@ -362,6 +371,9 @@ class TestParse:
             ("theta_a,theta_b,theta_c,S\n0.0,0.0,0.0,0.0,0.0\n", "5 cells, the header has 4"),
             ("theta_c,S\n0.0,0.5\n6.0\n", "number of columns changed"),
             ("theta_c,S\n0.0,#0.5\n", "could not convert"),
+            ("theta_c,S\ninfinity,2\n", "axes must be non-empty and finite"),
+            ("theta_c,S\n1e400,2\n", "axes must be non-empty and finite"),
+            ("theta_b/theta_c,nan\n0.0,0.5\n", "axes must be non-empty and finite"),
         ],
     )
     def test_malformed_csv_is_a_value_error_without_warnings(self, document, message):
@@ -369,6 +381,27 @@ class TestParse:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 parse_surface(document, "csv")
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ("{}", r'must be \{"axes"'),
+            ("[]", r'must be \{"axes"'),
+            ("null", r'must be \{"axes"'),
+            ('{"axes": 1, "values": 2}', r'must be \{"axes"'),
+            ('{"axes": [[0.0], [0.0]], "values": [1.0]}', r'must be \{"axes"'),
+            ('{"axes": [[0.0], [0.0], 0.0], "values": [1.0]}', r'must be \{"axes"'),
+            ('{"axes": [[0.0], [0.0], [0.0]], "values": 1.0}', r'must be \{"axes"'),
+            ('{"values": [1.0]}', r'must be \{"axes"'),
+            ('{"axes": [[0.0], [0.0], [Infinity]], "values": [1.0]}', "non-empty and finite"),
+            ('{"axes": [[0.0], [0.0], []], "values": []}', "non-empty and finite"),
+            ('{"axes": [[0.0], [0.0], [0.0]], "values": [NaN]}', "values must be finite"),
+            ('{"axes": [[0.0], [0.0], [0.0]]', "Expecting"),
+        ],
+    )
+    def test_malformed_json_is_a_value_error(self, document, message):
+        with pytest.raises(ValueError, match=message):
+            parse_surface(document, "json")
 
 
 class TestExport:
