@@ -14,17 +14,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
-import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .landscape import AngleTriple, _check_grid_size, _csv, _finite, s_quantum
+from .landscape import AngleTriple, _check_grid_size, _csv, s_quantum
 from .qubit import (
     H,
     Outcome,
     PropertySetting,
+    _number,
     canonical_degrees,
     conditional_probability,
     marginal_probability,
@@ -49,44 +48,27 @@ class ExperimentConfig:
     downconversion pair source read out by avalanche photodiodes.
     """
 
-    heralded_rate: float = 50_000.0
-    integration_time: float = 1.0
-    eff_d1: float = 0.6
-    eff_d2: float = 0.6
-    eff_d3: float = 0.6
-    dark_rate_d1: float = 200.0
-    dark_rate_d2: float = 200.0
-    dark_rate_d3: float = 200.0
-    coincidence_window: float = 9e-9
-    p2_step: float = 6.0
-    hwp_step: float = 3.0
-    rng_seed: int = 0
+    heralded_rate: float = field(default=50_000.0, metadata={"low": 0.0})
+    integration_time: float = field(default=1.0, metadata={"low": 0.0, "strict": True})
+    eff_d1: float = field(default=0.6, metadata={"low": 0.0, "high": 1.0})
+    eff_d2: float = field(default=0.6, metadata={"low": 0.0, "high": 1.0})
+    eff_d3: float = field(default=0.6, metadata={"low": 0.0, "high": 1.0})
+    dark_rate_d1: float = field(default=200.0, metadata={"low": 0.0})
+    dark_rate_d2: float = field(default=200.0, metadata={"low": 0.0})
+    dark_rate_d3: float = field(default=200.0, metadata={"low": 0.0})
+    coincidence_window: float = field(default=9e-9, metadata={"low": 0.0, "strict": True})
+    p2_step: float = field(default=6.0, metadata={"low": 0.0, "strict": True})
+    hwp_step: float = field(default=3.0, metadata={"low": 0.0, "strict": True})
+    rng_seed: int = field(default=0, metadata={"low": 0, "integer": True})
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            # The bound also rejects nan and ints too large for a float.
-            if not (number and abs(value) <= sys.float_info.max):
-                raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
-        if self.heralded_rate < 0:
-            raise ConfigError(f"heralded_rate must be >= 0, got {self.heralded_rate!r}")
-        if self.integration_time <= 0:
-            raise ConfigError(f"integration_time must be > 0, got {self.integration_time!r}")
-        for name in ("eff_d1", "eff_d2", "eff_d3"):
-            eff = getattr(self, name)
-            if not 0.0 <= eff <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {eff!r}")
-        for name in ("dark_rate_d1", "dark_rate_d2", "dark_rate_d3"):
-            rate = getattr(self, name)
-            if rate < 0:
-                raise ConfigError(f"{name} must be >= 0, got {rate!r}")
-        if self.coincidence_window <= 0:
-            raise ConfigError(f"coincidence_window must be > 0, got {self.coincidence_window!r}")
-        if self.p2_step <= 0 or self.hwp_step <= 0:
-            raise ConfigError("angle steps must be > 0")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        # Each field's metadata holds its bounds, as keywords to qubit._number.
+        for f in fields(self):
+            try:
+                value = _number(f.name, getattr(self, f.name), **f.metadata)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def ideal(cls, heralded_rate: float, rng_seed: int = 0, **overrides) -> "ExperimentConfig":
@@ -108,8 +90,10 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         """Build from a plain dict, rejecting unknown field names."""
+        if not isinstance(mapping, dict):
+            raise ConfigError("config document must be a JSON object")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(mapping) - known)
+        unknown = sorted(map(str, mapping.keys() - known))
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         return cls(**mapping)
@@ -120,8 +104,6 @@ class ExperimentConfig:
             payload = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError("config document must be a JSON object")
         return cls.from_mapping(payload)
 
     def to_json(self) -> str:
@@ -140,10 +122,8 @@ class Setting:
     hwp_angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_prep", _finite("theta_prep", self.theta_prep))
-        object.__setattr__(self, "hwp_angle", float(self.hwp_angle))
-        if not 0.0 <= self.hwp_angle <= 90.0:
-            raise ValueError(f"hwp_angle must be in [0, 90], got {self.hwp_angle!r}")
+        object.__setattr__(self, "theta_prep", _number("theta_prep", self.theta_prep))
+        object.__setattr__(self, "hwp_angle", _number("hwp_angle", self.hwp_angle, 0.0, 90.0))
 
     @property
     def theta_meas(self) -> float:
@@ -152,9 +132,7 @@ class Setting:
     @classmethod
     def for_angles(cls, theta_prep: float, theta_meas: float) -> "Setting":
         """Setting that prepares at ``theta_prep`` and analyzes at ``theta_meas``."""
-        if not 0.0 <= theta_meas <= 180.0:
-            raise ValueError(f"theta_meas must be in [0, 180], got {theta_meas!r}")
-        return cls(theta_prep=theta_prep, hwp_angle=theta_meas / 2.0)
+        return cls(theta_prep, _number("theta_meas", theta_meas, 0.0, 180.0) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -170,6 +148,12 @@ class CountRecord:
     duration: float
 
 
+def _checked_estimate(self) -> None:
+    # Both estimate records, checked but not stored back: scans build ~10**5.
+    _number("value", self.value)
+    _number("std_error", self.std_error, 0.0)
+
+
 @dataclass(frozen=True)
 class EstimatedProbability:
     """A probability estimate with its propagated standard error.
@@ -181,11 +165,7 @@ class EstimatedProbability:
     value: float
     std_error: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"estimate must be finite, got {self.value!r}")
-        if not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
+    __post_init__ = _checked_estimate
 
 
 @dataclass(frozen=True)
@@ -195,9 +175,7 @@ class SEstimate:
     value: float
     std_error: float
 
-    def __post_init__(self) -> None:
-        if not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
+    __post_init__ = _checked_estimate
 
     @property
     def sigma_violation(self) -> float:
@@ -295,7 +273,7 @@ def accidental_estimate(record: CountRecord, window: float) -> tuple[float, floa
     Uncorrelated streams at the recorded singles rates coincide at the
     cross-rate times the window; this is the standard lab-side correction.
     """
-    scale = window / record.duration
+    scale = _number("window", window, 0.0) / record.duration
     return (
         record.singles_d1 * record.singles_d3 * scale,
         record.singles_d2 * record.singles_d3 * scale,
@@ -425,9 +403,8 @@ def run_full_scan(
     setting is simulated once and reused, and results are independent of
     evaluation order.
     """
-    _finite("theta_a", theta_a)
-    if not 0.0 <= theta_b_profile <= 180.0:
-        raise ValueError(f"theta_b_profile must be in [0, 180], got {theta_b_profile!r}")
+    theta_a = _number("theta_a", theta_a)
+    theta_b_profile = _number("theta_b_profile", theta_b_profile, 0.0, 180.0)
     meas_step = 2.0 * cfg.hwp_step
     # theta_b's axis below compares every preparation node with every
     # analyzer node, so that product is the grid to bound.

@@ -10,8 +10,6 @@ probability triple is reachable classically at all.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -19,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.optimize import linprog
 
-from .qubit import Outcome
+from .qubit import Outcome, _number
 
 #: Ensemble weights must sum to one this tightly.
 WEIGHT_SUM_ATOL = 1e-9
@@ -74,6 +72,7 @@ PAIR_AC: OutcomePair = ((Property.A, Outcome.PLUS), (Property.C, Outcome.MINUS))
 
 #: Every state at weight zero, in canonical order; ensembles start from a copy.
 _NO_WEIGHTS = dict.fromkeys(ALL_STATES, 0.0)
+_WEIGHT_NAMES = tuple(f"weight for {state.label()}" for state in ALL_STATES)
 
 
 @dataclass(frozen=True)
@@ -85,17 +84,15 @@ class ClassicalEnsemble:
     def __post_init__(self) -> None:
         # Copying the canonical table keeps its order and its keys' stored
         # hashes, and update adds a key only for an unknown state.  Storing a
-        # value hashes its key again, so only non-float weights are rewritten.
+        # value hashes its key again, so only converted weights are rewritten.
         ordered = _NO_WEIGHTS.copy()
         ordered.update(self.weights)
         if len(ordered) > len(ALL_STATES):
             unknown = list(ordered)[len(ALL_STATES):]
             raise ValueError(f"weights keyed by unknown states: {unknown!r}")
-        for state, w in ordered.items():
-            if type(w) is not float:
-                w = ordered[state] = float(w)
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"weight for {state.label()} out of [0, 1]: {w!r}")
+        for (state, w), name in zip(ordered.items(), _WEIGHT_NAMES):
+            if (checked := _number(name, w, 0.0, 1.0)) is not w:
+                ordered[state] = checked
         total = sum(ordered.values())
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
@@ -112,7 +109,7 @@ class ClassicalEnsemble:
     @classmethod
     def from_weights(cls, values: Iterable[float]) -> "ClassicalEnsemble":
         """Build from eight weights given in ``ALL_STATES`` order."""
-        vals = list(map(float, values))
+        vals = list(values)
         if len(vals) != len(ALL_STATES):
             raise ValueError(f"expected {len(ALL_STATES)} weights, got {len(vals)}")
         return cls(dict(zip(ALL_STATES, vals)))
@@ -130,9 +127,8 @@ class JointTriple:
     p_ac: float  # plus on a, minus on c
 
     def __post_init__(self) -> None:
-        for name, p in (("p_ab", self.p_ab), ("p_bc", self.p_bc), ("p_ac", self.p_ac)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} out of [0, 1]: {p!r}")
+        for name in ("p_ab", "p_bc", "p_ac"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, 1.0))
 
 
 _SIMPLEX_ALPHA = np.ones(len(ALL_STATES))
@@ -140,7 +136,7 @@ _SIMPLEX_ALPHA = np.ones(len(ALL_STATES))
 
 def random_ensemble(rng: np.random.Generator) -> ClassicalEnsemble:
     """Draw an ensemble uniformly from the weight simplex."""
-    return ClassicalEnsemble.from_weights(rng.dirichlet(_SIMPLEX_ALPHA))
+    return ClassicalEnsemble.from_weights(rng.dirichlet(_SIMPLEX_ALPHA).tolist())
 
 
 def atom_joint(state: GeneralizedState, pair: OutcomePair) -> float:
@@ -199,7 +195,7 @@ def classical_bound_holds(t: JointTriple, epsilon: float = BOUND_EPSILON) -> boo
     Every classical ensemble satisfies this; a violation is a quantum
     signature.
     """
-    return t.p_ac <= t.p_ab + t.p_bc + epsilon
+    return t.p_ac <= t.p_ab + t.p_bc + _number("epsilon", epsilon, 0.0)
 
 
 def enumerate_vertices() -> list[tuple[GeneralizedState, float]]:
@@ -237,9 +233,7 @@ def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> Classical
     from the returned ensemble reproduces the input to that accuracy.
     ``tolerance`` must be a finite non-negative number, else ValueError.
     """
-    number = isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
-    if not (number and 0.0 <= tolerance < math.inf):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    tolerance = _number("tolerance", tolerance, 0.0)
     target = np.array([t.p_ab, t.p_bc, t.p_ac])
     result = linprog(
         _LP_COST,
@@ -253,4 +247,4 @@ def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> Classical
         return None
     weights = result.x[: len(ALL_STATES)]
     weights = np.where(weights < WEIGHT_CLAMP, 0.0, weights)
-    return ClassicalEnsemble.from_weights(weights / weights.sum())
+    return ClassicalEnsemble.from_weights((weights / weights.sum()).tolist())

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, classical, landscape
+from . import bench, classical, landscape, qubit
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -70,8 +70,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    qubit._number("--samples", args.samples, 1, integer=True)
     vertices = classical.enumerate_vertices()
     print("vertex witness values: " + ", ".join(f"{value:g}" for _, value in vertices))
     for state, value in vertices:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import canonical_degrees
+from .qubit import _number, canonical_degrees
 
 AXIS_NAMES = ("theta_a", "theta_b", "theta_c")
 #: Fractional digits written by the CSV exporter.
@@ -40,13 +39,6 @@ def _check_grid_size(nodes: float) -> None:
         raise ValueError(f"grid of {nodes:.4g} nodes exceeds the cap of {MAX_GRID_NODES}")
 
 
-def _finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class AngleTriple:
     """Three polarizer orientations in degrees, each canonical in [0, 180)."""
@@ -57,7 +49,7 @@ class AngleTriple:
 
     def __post_init__(self) -> None:
         for name in AXIS_NAMES:
-            object.__setattr__(self, name, canonical_degrees(_finite(name, getattr(self, name))))
+            object.__setattr__(self, name, canonical_degrees(_number(name, getattr(self, name))))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta_a, self.theta_b, self.theta_c)
@@ -76,12 +68,9 @@ class ScanGrid:
     step: float = 6.0
 
     def __post_init__(self) -> None:
-        for name in ("start", "stop", "step"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
-        if self.start > self.stop:
-            raise ValueError(f"start {self.start!r} must not exceed stop {self.stop!r}")
+        object.__setattr__(self, "start", _number("start", self.start))
+        object.__setattr__(self, "stop", _number("stop", self.stop, self.start))
+        object.__setattr__(self, "step", _number("step", self.step, 0.0, strict=True))
         count = (self.stop - self.start) / self.step
         _check_grid_size(count + 1)
         if abs(count - round(count)) > 1e-9:
@@ -114,6 +103,8 @@ class SLandscape:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if any(array.ndim != 1 for array in (*self.axes, self.values)):
+            raise ValueError("landscape axes and values must be 1-D arrays")
         expected = 1
         for axis in self.axes:
             if axis.size == 0 or not np.all(np.isfinite(axis)):
@@ -189,7 +180,7 @@ def grid_scan(
     grids = [axis for axis in (axis_a, axis_b, axis_c) if isinstance(axis, ScanGrid)]
     _check_grid_size(math.prod(grid.size for grid in grids))
     axes = tuple(
-        axis.nodes() if isinstance(axis, ScanGrid) else np.array([_finite(name, axis)])
+        axis.nodes() if isinstance(axis, ScanGrid) else np.array([_number(name, axis)])
         for name, axis in zip(AXIS_NAMES, (axis_a, axis_b, axis_c))
     )
     values = _s_array(
@@ -249,10 +240,8 @@ def minimize_s(
     down to the angular ``tolerance`` in degrees.  The refined minimum is
     never above the best coarse node.
     """
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    if not isinstance(starts, numbers.Integral) or isinstance(starts, bool) or starts < 1:
-        raise ValueError(f"starts must be an integer of at least 1, got {starts!r}")
+    tolerance = _number("tolerance", tolerance, 0.0, strict=True)
+    starts = _number("starts", starts, 1, integer=True)
     if seed_grid is None:
         seed_grid = ScanGrid.full_range()
 
@@ -358,14 +347,18 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     round-trip exactly at the written precision.  A CSV document that is
     empty, has no data rows, or has rows whose cell count differs from the
     header's raises ValueError, as does a JSON document that is not an
-    object holding a list of three axis lists and a list of values.
+    object holding three axis lists and a values list, all of numbers.
     """
     if format == "json":
-        match json.loads(document):
-            case {"axes": [list(), list(), list()] as axes, "values": list() as values}:
+        # With ints read as floats (too large ones as inf), one type set per
+        # list rejects strings, booleans, nulls and nested lists.
+        match json.loads(document, parse_int=float):
+            case {"axes": [list(), list(), list()] as axes, "values": list() as values} if all(
+                {*map(type, cells)} <= {float} for cells in (*axes, values)
+            ):
                 axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
                 return SLandscape(axes=axes, values=np.asarray(values, dtype=float))
-        raise ValueError('JSON surface must be {"axes": [3 lists], "values": list}')
+        raise ValueError('JSON surface must be {"axes": [3 lists], "values": list} of numbers')
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
 

@@ -9,12 +9,46 @@ evaluations.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
 # Pure double-precision arithmetic throughout, so identities hold to
 # round-off and nothing looser is ever needed.
 PROBABILITY_ATOL = 1e-12
+_LARGEST = sys.float_info.max
+
+
+def _number(name, value, low=-_LARGEST, high=_LARGEST, strict=False, integer=False):
+    """Check one number argument; return it as a float, or an int with ``integer``.
+
+    Accepts a real number (an integer with ``integer``) other than a bool,
+    finite as a float, in [low, high], or (low, high] when ``strict``.
+    Anything else raises ValueError naming ``name``.
+    """
+    # For hot loops: floats (np.float64 too) come first, and no parameter is
+    # keyword-only, which would slow every call in CPython.
+    if isinstance(value, float) and not integer:
+        number = float(value)
+    elif isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(
+        value, bool
+    ):
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:  # an int too large for a float
+            number = math.inf
+    else:
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    # Finite bounds, the defaults included, also reject nan and infinities.
+    if (low < number if strict else low <= number) and number <= high:
+        return number
+    if not abs(number) <= _LARGEST:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    interval = f"{'(' if strict else '['}{low:g}, {f'{high:g}]' if high < _LARGEST else 'inf)'}"
+    rule = f"must be an integer in {interval}, got" if integer else f"out of {interval}:"
+    raise ValueError(f"{name} {rule} {number!r}")
 
 
 def canonical_degrees(value: float) -> float:
@@ -34,9 +68,7 @@ class Angle:
     degrees: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.degrees):
-            raise ValueError(f"orientation must be finite, got {self.degrees!r}")
-        object.__setattr__(self, "degrees", canonical_degrees(self.degrees))
+        object.__setattr__(self, "degrees", canonical_degrees(_number("orientation", self.degrees)))
 
     @property
     def radians(self) -> float:
@@ -76,8 +108,12 @@ class PureState:
     amp_v: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
-        if abs(norm - 1.0) > PROBABILITY_ATOL:
+        # Complex amplitudes are left to the norm test; a product overflows to inf, ** 2 raises.
+        for amp in (self.amp_h, self.amp_v):
+            if not isinstance(amp, complex):
+                _number("amplitude", amp)
+        norm = abs(self.amp_h) * abs(self.amp_h) + abs(self.amp_v) * abs(self.amp_v)
+        if not abs(norm - 1.0) <= PROBABILITY_ATOL:
             raise ValueError(f"state must be normalized, got |amp|^2 = {norm!r}")
 
 

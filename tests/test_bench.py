@@ -82,6 +82,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_json("[1, 2]")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("not json")
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            ExperimentConfig.from_mapping([])
 
     def test_json_accepts_partial_fields(self):
         cfg = ExperimentConfig.from_json('{"rng_seed": 4}')

@@ -397,6 +397,15 @@ class TestParse:
             ('{"axes": [[0.0], [0.0], []], "values": []}', "non-empty and finite"),
             ('{"axes": [[0.0], [0.0], [0.0]], "values": [NaN]}', "values must be finite"),
             ('{"axes": [[0.0], [0.0], [0.0]]', "Expecting"),
+            ('{"axes": [["1"], [true], [0]], "values": ["0.5"]}', r'must be \{"axes"'),
+            ('{"axes": [[0.0], [0.0], [null]], "values": [1.0]}', r'must be \{"axes"'),
+            ('{"axes": [[[1]], [0], [0]], "values": [[0.5]]}', r'must be \{"axes"'),
+            ('{"axes": [[0.0], [0.0], [0.0]], "values": [false]}', r'must be \{"axes"'),
+            pytest.param(
+                '{"axes": [[1%s], [0], [0]], "values": [0.5]}' % ("0" * 400),
+                "non-empty and finite",
+                id="int-beyond-float",
+            ),
         ],
     )
     def test_malformed_json_is_a_value_error(self, document, message):

@@ -1,0 +1,231 @@
+"""The library-wide number rule, checked at every public entry point.
+
+A number argument must be a real number (an integer where one is asked
+for) that is not a bool and is finite as a float; anything else raises
+ValueError at the boundary, before any work is done.
+"""
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pmlab
+from pmlab import (
+    ALL_STATES,
+    Angle,
+    AngleTriple,
+    ClassicalEnsemble,
+    CountRecord,
+    EstimatedProbability,
+    ExperimentConfig,
+    InsufficientStatisticsError,
+    JointTriple,
+    Outcome,
+    PropertySetting,
+    PureState,
+    ScanGrid,
+    SEstimate,
+    Setting,
+    SLandscape,
+    accidental_estimate,
+    classical_bound_holds,
+    estimate_joint,
+    fit_classical,
+    grid_scan,
+    minimize_s,
+    parse_surface,
+    run_full_scan,
+    simulate_setting,
+)
+
+COARSE = ExperimentConfig(p2_step=30.0, hwp_step=15.0)
+RECORD = simulate_setting(COARSE, Setting(20.0, 25.0))
+REFERENCE = simulate_setting(COARSE, Setting(0.0, 25.0))
+TRIPLE = JointTriple(0.3, 0.2, 0.4)
+GRID = ScanGrid.full_range(90.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: AngleTriple("1", True, 0), id="AngleTriple-str-bool"),
+        pytest.param(lambda: ScanGrid(0, "180", 6), id="ScanGrid-str-stop"),
+        pytest.param(lambda: ScanGrid(0, 180, True), id="ScanGrid-bool-step"),
+        pytest.param(lambda: grid_scan(GRID, GRID, "90"), id="grid_scan-str-fixed-axis"),
+        pytest.param(lambda: Angle(True), id="Angle-bool"),
+        pytest.param(lambda: Angle("1"), id="Angle-str"),
+        pytest.param(lambda: PropertySetting.at("1"), id="PropertySetting.at-str"),
+        pytest.param(lambda: PureState(math.nan, 0.0), id="PureState-nan"),
+        pytest.param(lambda: PureState("1", 0.0), id="PureState-str"),
+        pytest.param(lambda: PureState(True, False), id="PureState-bool"),
+        pytest.param(lambda: Setting(0, "10"), id="Setting-str"),
+        pytest.param(lambda: Setting(0, True), id="Setting-bool"),
+        pytest.param(lambda: Setting(0, None), id="Setting-None"),
+        pytest.param(lambda: Setting.for_angles(0, "10"), id="for_angles-str"),
+        pytest.param(lambda: run_full_scan(COARSE, theta_b_profile="10"), id="full_scan-str"),
+        pytest.param(lambda: run_full_scan(COARSE, theta_b_profile=True), id="full_scan-bool"),
+        pytest.param(lambda: run_full_scan(COARSE, theta_a="156"), id="full_scan-str-theta_a"),
+        pytest.param(lambda: JointTriple(True, 0, 0), id="JointTriple-bool"),
+        pytest.param(lambda: JointTriple("0.5", 0, 0), id="JointTriple-str"),
+        pytest.param(lambda: minimize_s(GRID, tolerance=True), id="minimize_s-bool-tol"),
+        pytest.param(lambda: minimize_s(GRID, tolerance="0.1"), id="minimize_s-str-tol"),
+        pytest.param(lambda: ClassicalEnsemble({ALL_STATES[0]: "1"}), id="ensemble-str"),
+        pytest.param(lambda: ClassicalEnsemble({ALL_STATES[0]: True}), id="ensemble-bool"),
+        pytest.param(lambda: ClassicalEnsemble.from_weights(["1"] + [0] * 7), id="weights-str"),
+        pytest.param(lambda: ClassicalEnsemble.from_weights([True] + [0] * 7), id="weights-bool"),
+        pytest.param(
+            lambda: parse_surface('{"axes": [["1"], [true], [0]], "values": ["0.5"]}', "json"),
+            id="parse_surface-json-str-bool",
+        ),
+        pytest.param(
+            lambda: SLandscape((np.zeros((1, 1)), np.zeros(1), np.zeros(1)), np.zeros(1)),
+            id="SLandscape-2d-axis",
+        ),
+        pytest.param(lambda: classical_bound_holds(TRIPLE, math.nan), id="bound-nan-epsilon"),
+        pytest.param(lambda: classical_bound_holds(TRIPLE, "0"), id="bound-str-epsilon"),
+        pytest.param(
+            lambda: estimate_joint(RECORD, REFERENCE, subtract_window=-1.0),
+            id="estimate_joint-negative-window",
+        ),
+        pytest.param(lambda: accidental_estimate(RECORD, "1e-9"), id="accidental-str-window"),
+        pytest.param(lambda: EstimatedProbability(0.5, math.inf), id="estimate-inf-error"),
+        pytest.param(lambda: EstimatedProbability("0.5", 0.1), id="estimate-str-value"),
+        pytest.param(lambda: SEstimate(math.nan, 0.1), id="SEstimate-nan-value"),
+        pytest.param(lambda: SEstimate(-0.4, "0.02"), id="SEstimate-str-error"),
+        pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
+        pytest.param(
+            lambda: ExperimentConfig.from_mapping({1: 0.0, "x": 0.0}), id="from_mapping-int-key"
+        ),
+    ],
+)
+def test_hole_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_int_config_fields_are_stored_as_floats():
+    cfg = ExperimentConfig(heralded_rate=50_000, rng_seed=np.int64(3))
+    assert type(cfg.heralded_rate) is float and type(cfg.rng_seed) is int
+    assert '"heralded_rate": 50000.0' in cfg.to_json()
+
+
+def test_json_integers_are_numbers():
+    land = parse_surface('{"axes": [[0], [0], [6, 12]], "values": [1, -0.5]}', "json")
+    assert land.axes[2].tolist() == [6.0, 12.0] and land.values.tolist() == [1.0, -0.5]
+
+
+# The draws the entry points must survive: every JSON scalar, plus the
+# non-finite floats and an int too large for a float.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+)
+
+
+def numbers_or(valid):
+    """A scalar draw, or a valid value so that later arguments get checked too."""
+    return st.one_of(SCALARS, st.just(valid))
+
+
+FIELDS = st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)])
+
+# Each public name that takes numbers, with strategies for its arguments;
+# any argument that is not a number is a fixed valid object.
+NUMERIC = {
+    "Angle": (Angle, [SCALARS]),
+    "AngleTriple": (AngleTriple, [numbers_or(10.0)] * 3),
+    "ClassicalEnsemble": (
+        lambda a, b: ClassicalEnsemble({ALL_STATES[0]: a, ALL_STATES[5]: b}),
+        [numbers_or(0.5)] * 2,
+    ),
+    "ClassicalEnsemble.from_weights": (
+        lambda a, b: ClassicalEnsemble.from_weights([a, b] + [0.0] * 6),
+        [numbers_or(0.5)] * 2,
+    ),
+    # A record of counts, stored unchecked: every draw builds one.
+    "CountRecord": (
+        lambda n, t: CountRecord(n, n, n, n, n, Setting(0.0, 0.0), t),
+        [numbers_or(10), numbers_or(1.0)],
+    ),
+    "EstimatedProbability": (EstimatedProbability, [numbers_or(0.5), numbers_or(0.1)]),
+    "ExperimentConfig": (lambda name, value: ExperimentConfig(**{name: value}), [FIELDS, SCALARS]),
+    "ExperimentConfig.ideal": (ExperimentConfig.ideal, [numbers_or(1e4), numbers_or(1)]),
+    "ExperimentConfig.from_mapping": (
+        lambda name, value: ExperimentConfig.from_mapping({name: value}),
+        [FIELDS, SCALARS],
+    ),
+    "JointTriple": (JointTriple, [numbers_or(0.3)] * 3),
+    "Outcome": (Outcome, [SCALARS]),
+    "PropertySetting.at": (PropertySetting.at, [SCALARS]),
+    "PureState": (PureState, [numbers_or(1.0), numbers_or(0.0)]),
+    "ScanGrid": (ScanGrid, [numbers_or(0.0), numbers_or(180.0), numbers_or(90.0)]),
+    "SEstimate": (SEstimate, [numbers_or(-0.4), numbers_or(0.02)]),
+    "Setting": (Setting, [numbers_or(20.0), numbers_or(25.0)]),
+    "Setting.for_angles": (Setting.for_angles, [numbers_or(20.0), numbers_or(50.0)]),
+    "accidental_estimate": (lambda w: accidental_estimate(RECORD, w), [SCALARS]),
+    "classical_bound_holds": (lambda e: classical_bound_holds(TRIPLE, e), [SCALARS]),
+    "estimate_joint": (
+        lambda w: estimate_joint(RECORD, REFERENCE, subtract_window=w),
+        [st.one_of(SCALARS, st.just(None))],
+    ),
+    "fit_classical": (lambda tol: fit_classical(TRIPLE, tol), [SCALARS]),
+    "grid_scan": (grid_scan, [numbers_or(GRID)] * 3),
+    # One seed node keeps the refinement short at any tolerance.
+    "minimize_s": (
+        lambda tol, starts: minimize_s(ScanGrid(60.0, 60.0, 90.0), tol, starts),
+        [numbers_or(0.01), numbers_or(5)],
+    ),
+    "run_full_scan": (
+        lambda a, b: run_full_scan(COARSE, a, b),
+        [numbers_or(150.0), numbers_or(120.0)],
+    ),
+}
+
+# Public names that take no number argument: constants, exceptions, enums
+# and records of other objects, functions of states, ensembles, settings,
+# landscapes or documents, and result containers the library builds.
+# PropertySetting itself takes an Angle; PropertySetting.at is above.
+# canonical_degrees is the unchecked arithmetic behind every angle check.
+NOT_NUMERIC = {
+    "ALL_STATES", "ConfigError", "FullScanResult", "GeneralizedState", "H",
+    "InsufficientStatisticsError", "Optimum", "Property", "SLandscape",
+    "V", "atom_joint", "canonical_degrees", "conditional_probability", "eigenstate",
+    "ensemble_joint", "enumerate_vertices", "estimate_S", "export_surface", "joint_probability",
+    "joint_triple", "marginal_probability", "parse_surface", "random_ensemble", "s_classical",
+    "s_quantum", "simulate_setting", "transition_probability",
+}  # fmt: skip
+
+
+def test_every_public_name_is_classified():
+    numeric = {name.split(".")[0] for name in NUMERIC}
+    assert numeric.isdisjoint(NOT_NUMERIC)
+    assert numeric | NOT_NUMERIC == set(pmlab.__all__)
+
+
+#: Entry points that document InsufficientStatisticsError for valid input.
+MAY_LACK_STATISTICS = {"estimate_joint"}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_entry_point_returns_or_raises_value_error(name, data):
+    call, strategies = NUMERIC[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    allowed = ValueError
+    if name in MAY_LACK_STATISTICS:
+        allowed = (ValueError, InsufficientStatisticsError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(*args)
+        except allowed:
+            pass

@@ -90,6 +90,11 @@ class TestTypes:
     def test_pure_state_requires_normalization(self):
         with pytest.raises(ValueError):
             PureState(1.0, 1.0)
+        for bad in (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(ValueError):
+                PureState(bad, 0.0)
+            with pytest.raises(ValueError):
+                PureState(1.0, bad)
         PureState(math.sqrt(0.5), math.sqrt(0.5))
         PureState(0.6, 0.8j)
 
