@@ -135,6 +135,9 @@ class Setting:
         return cls(theta_prep, _number("theta_meas", theta_meas, 0.0, 180.0) / 2.0)
 
 
+_COUNT_FIELDS = ("singles_d1", "singles_d2", "singles_d3", "coinc_13", "coinc_23")
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Singles and coincidence tallies for one setting."""
@@ -146,6 +149,15 @@ class CountRecord:
     coinc_23: int
     setting: Setting
     duration: float
+
+    def __post_init__(self) -> None:
+        # Counts integers >= 0, duration positive; checked but not stored
+        # back, like the estimate records below.
+        for name in _COUNT_FIELDS:
+            _number(name, getattr(self, name), 0, integer=True)
+        _number("duration", self.duration, 0.0, strict=True)
+        if not isinstance(self.setting, Setting):
+            raise ValueError(f"setting must be a Setting, got {self.setting!r}")
 
 
 def _checked_estimate(self) -> None:
@@ -328,30 +340,49 @@ def estimate_joint(
     return EstimatedProbability(value=value, std_error=std_error)
 
 
-#: One estimation's count records, keyed (canonical preparation, analyzer).
-_Records = dict[tuple[float, float], CountRecord]
+@dataclass
+class _Memo:
+    """One estimation's work, each distinct piece done once.
+
+    ``joints`` maps (canonical preparation, analyzer) to its estimate, or to
+    its record while the estimate raises InsufficientStatisticsError, so only
+    such joints are estimated again.  ``references`` maps an analyzer to its
+    zero-angle record.  Any other record is dropped once its joint is known.
+    """
+
+    joints: dict[tuple[float, float], EstimatedProbability | CountRecord] = field(
+        default_factory=dict
+    )
+    references: dict[float, CountRecord] = field(default_factory=dict)
 
 
-def _joint(
-    cfg: ExperimentConfig, records: _Records, prep: float, meas: float
-) -> EstimatedProbability:
-    # The record and its zero-angle reference, each simulated at most once
-    # per ``records``, turned into one joint estimate.
-    pair = []
-    for theta_prep in (prep, 0.0):
-        key = (canonical_degrees(theta_prep), float(meas))
-        if key not in records:
-            records[key] = simulate_setting(cfg, Setting.for_angles(theta_prep, meas))
-        pair.append(records[key])
-    return estimate_joint(*pair)
+def _joint(cfg: ExperimentConfig, memo: _Memo, prep: float, meas: float) -> EstimatedProbability:
+    meas = float(meas)
+    key = (canonical_degrees(prep), meas)
+    record = memo.joints.get(key)
+    if isinstance(record, EstimatedProbability):
+        return record
+    reference = memo.references.get(meas)
+    if reference is None:
+        reference = memo.references[meas] = simulate_setting(cfg, Setting.for_angles(0.0, meas))
+    if record is None:
+        # A preparation at 0 degrees is its own reference record.
+        if key[0] == 0.0:
+            record = reference
+        else:
+            record = simulate_setting(cfg, Setting.for_angles(prep, meas))
+        # Kept only until the estimate below succeeds.
+        memo.joints[key] = record
+    memo.joints[key] = estimate = estimate_joint(record, reference)
+    return estimate
 
 
-def _witness(cfg: ExperimentConfig, records: _Records, a: float, b: float, c: float) -> SEstimate:
+def _witness(cfg: ExperimentConfig, memo: _Memo, a: float, b: float, c: float) -> SEstimate:
     # Joints in witness order: plus-a then minus-b, plus-b then minus-c,
     # plus-a then minus-c; errors combine in quadrature.
-    j_ab = _joint(cfg, records, a, b)
-    j_bc = _joint(cfg, records, b, c)
-    j_ac = _joint(cfg, records, a, c)
+    j_ab = _joint(cfg, memo, a, b)
+    j_bc = _joint(cfg, memo, b, c)
+    j_ac = _joint(cfg, memo, a, c)
     value = j_ab.value + j_bc.value - j_ac.value
     std_error = math.sqrt(j_ab.std_error**2 + j_bc.std_error**2 + j_ac.std_error**2)
     return SEstimate(value=value, std_error=std_error)
@@ -364,7 +395,7 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     zero-angle references, combines the joint estimates, and propagates
     the three errors in quadrature.
     """
-    return _witness(cfg, {}, *triple.as_tuple())
+    return _witness(cfg, _Memo(), *triple.as_tuple())
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,11 +452,11 @@ def run_full_scan(
     )
     theta_c_axis = meas_axis.copy()
 
-    records: _Records = {}
+    memo = _Memo()
 
     def witness_or_none(tb: float, tc: float) -> SEstimate | None:
         try:
-            return _witness(cfg, records, theta_a, tb, tc)
+            return _witness(cfg, memo, theta_a, tb, tc)
         except InsufficientStatisticsError:
             return None
 

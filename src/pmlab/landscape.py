@@ -347,8 +347,11 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     round-trip exactly at the written precision.  A CSV document that is
     empty, has no data rows, or has rows whose cell count differs from the
     header's raises ValueError, as does a JSON document that is not an
-    object holding three axis lists and a values list, all of numbers.
+    object holding three axis lists and a values list, all of numbers, and
+    a document that is not a string.
     """
+    if not isinstance(document, str):
+        raise ValueError(f"surface document must be a string, got {type(document).__name__}")
     if format == "json":
         # With ints read as floats (too large ones as inf), one type set per
         # list rejects strings, booleans, nulls and nested lists.

@@ -4,6 +4,7 @@ Analytic expectations come from the exact qubit probabilities; the bench
 must reproduce them statistically, with error bars that actually cover
 the spread (checked by standardized residuals over many seeds).
 """
+import collections
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from pmlab.bench import (
     simulate_setting,
 )
 from pmlab.landscape import AngleTriple, s_quantum
-from pmlab.qubit import H, Outcome, PropertySetting, joint_probability
+from pmlab.qubit import H, Outcome, PropertySetting, canonical_degrees, joint_probability
 
 # sin^2(30) * cos^2(20): the joint for preparing at 20 and measuring at 50.
 TRUE_JOINT_20_50 = 0.2207555553898722
@@ -352,6 +353,19 @@ class TestEstimateS:
         ratio = short.std_error / long.std_error
         assert 8.0 <= ratio <= 12.0
 
+    @pytest.mark.parametrize(
+        "triple,expected",
+        [
+            # theta_a = 180 prepares at 0 degrees: that record is its own reference.
+            ((180.0, 0.0, 77.5), ("0.0", "0.014342345774865787")),
+            ((157.0, 123.5, 77.5), ("-0.39866308122698857", "0.01046894483568149")),
+        ],
+    )
+    def test_estimate_pinned(self, triple, expected):
+        # Recorded before joints were memoized; depends on numpy's RNG streams.
+        est = estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(*triple))
+        assert (repr(est.value), repr(est.std_error)) == expected
+
     def test_matches_full_scan_nodes_bit_for_bit(self):
         # One estimation path: a surface node and a lone estimate at the same
         # orientations come from the same records through the same sums.
@@ -449,6 +463,33 @@ class TestRunFullScan:
         with pytest.raises(ValueError, match=name):
             run_full_scan(ExperimentConfig(p2_step=1.0, hwp_step=0.5), **kwargs)
         assert calls == []
+
+    def test_each_setting_simulated_and_each_joint_estimated_once(self, monkeypatch):
+        # theta_b_profile = 90 repeats the surface's failing (90, theta_c)
+        # joints, which are the only ones estimated again.
+        simulated = collections.Counter()
+        succeeded, failed = [], collections.Counter()
+
+        def counted_simulate(cfg, setting):
+            simulated[canonical_degrees(setting.theta_prep), setting.theta_meas] += 1
+            return simulate_setting(cfg, setting)
+
+        def counted_estimate(record, reference):
+            key = (canonical_degrees(record.setting.theta_prep), record.setting.theta_meas)
+            try:
+                estimate = estimate_joint(record, reference)
+            except InsufficientStatisticsError:
+                failed[key] += 1
+                raise
+            succeeded.append(key)
+            return estimate
+
+        monkeypatch.setattr(bench, "simulate_setting", counted_simulate)
+        monkeypatch.setattr(bench, "estimate_joint", counted_estimate)
+        run_full_scan(ExperimentConfig(rng_seed=3), theta_b_profile=90.0)
+        assert max(simulated.values()) == 1
+        assert len(succeeded) == len(set(succeeded))
+        assert max(failed.values()) == 2 and not failed.keys() & set(succeeded)
 
     def test_single_node_grid_yields_one_estimate(self):
         cfg = ExperimentConfig.ideal(1e5, rng_seed=1, p2_step=360.0, hwp_step=180.0)

@@ -33,6 +33,7 @@ from pmlab import (
     SLandscape,
     accidental_estimate,
     classical_bound_holds,
+    eigenstate,
     estimate_joint,
     fit_classical,
     grid_scan,
@@ -45,6 +46,7 @@ from pmlab import (
 COARSE = ExperimentConfig(p2_step=30.0, hwp_step=15.0)
 RECORD = simulate_setting(COARSE, Setting(20.0, 25.0))
 REFERENCE = simulate_setting(COARSE, Setting(0.0, 25.0))
+SETTING = Setting(0.0, 0.0)
 TRIPLE = JointTriple(0.3, 0.2, 0.4)
 GRID = ScanGrid.full_range(90.0)
 
@@ -96,6 +98,17 @@ GRID = ScanGrid.full_range(90.0)
         pytest.param(lambda: EstimatedProbability("0.5", 0.1), id="estimate-str-value"),
         pytest.param(lambda: SEstimate(math.nan, 0.1), id="SEstimate-nan-value"),
         pytest.param(lambda: SEstimate(-0.4, "0.02"), id="SEstimate-str-error"),
+        pytest.param(lambda: CountRecord("x", 1, 1, 1, 1, SETTING, 1.0), id="CountRecord-str"),
+        pytest.param(lambda: CountRecord(1, 1, -1, 1, 1, SETTING, 1.0), id="CountRecord-negative"),
+        pytest.param(lambda: CountRecord(1, 1, 1, 1.5, 1, SETTING, 1.0), id="CountRecord-float"),
+        pytest.param(lambda: CountRecord(1, 1, 1, 1, True, SETTING, 1.0), id="CountRecord-bool"),
+        pytest.param(lambda: CountRecord(1, 1, 1, 1, 1, (0, 0), 1.0), id="CountRecord-setting"),
+        pytest.param(
+            lambda: accidental_estimate(CountRecord(1, 1, 1, 1, 1, SETTING, 0), 1e-9),
+            id="accidental-zero-duration",
+        ),
+        pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
+        pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
         pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
         pytest.param(
             lambda: ExperimentConfig.from_mapping({1: 0.0, "x": 0.0}), id="from_mapping-int-key"
@@ -150,9 +163,9 @@ NUMERIC = {
         lambda a, b: ClassicalEnsemble.from_weights([a, b] + [0.0] * 6),
         [numbers_or(0.5)] * 2,
     ),
-    # A record of counts, stored unchecked: every draw builds one.
+    # Counts must be integers >= 0 and the duration positive.
     "CountRecord": (
-        lambda n, t: CountRecord(n, n, n, n, n, Setting(0.0, 0.0), t),
+        lambda n, t: CountRecord(n, n, n, n, n, SETTING, t),
         [numbers_or(10), numbers_or(1.0)],
     ),
     "EstimatedProbability": (EstimatedProbability, [numbers_or(0.5), numbers_or(0.1)]),
@@ -176,6 +189,7 @@ NUMERIC = {
         lambda w: estimate_joint(RECORD, REFERENCE, subtract_window=w),
         [st.one_of(SCALARS, st.just(None))],
     ),
+    "eigenstate": (lambda outcome: eigenstate(PropertySetting.at(20.0), outcome), [SCALARS]),
     "fit_classical": (lambda tol: fit_classical(TRIPLE, tol), [SCALARS]),
     "grid_scan": (grid_scan, [numbers_or(GRID)] * 3),
     # One seed node keeps the refinement short at any tolerance.
@@ -197,10 +211,10 @@ NUMERIC = {
 NOT_NUMERIC = {
     "ALL_STATES", "ConfigError", "FullScanResult", "GeneralizedState", "H",
     "InsufficientStatisticsError", "Optimum", "Property", "SLandscape",
-    "V", "atom_joint", "canonical_degrees", "conditional_probability", "eigenstate",
-    "ensemble_joint", "enumerate_vertices", "estimate_S", "export_surface", "joint_probability",
-    "joint_triple", "marginal_probability", "parse_surface", "random_ensemble", "s_classical",
-    "s_quantum", "simulate_setting", "transition_probability",
+    "V", "atom_joint", "canonical_degrees", "conditional_probability", "ensemble_joint",
+    "enumerate_vertices", "estimate_S", "export_surface", "joint_probability", "joint_triple",
+    "marginal_probability", "parse_surface", "random_ensemble", "s_classical", "s_quantum",
+    "simulate_setting", "transition_probability",
 }  # fmt: skip
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from pmlab import qubit
 from pmlab.qubit import (
     H,
     V,
@@ -101,6 +102,21 @@ class TestTypes:
     def test_property_setting_orientation_is_canonical(self):
         assert PropertySetting.at(200.0).orientation.degrees == 20.0
 
+    def test_property_settings_and_eigenstates_are_shared(self):
+        prop = PropertySetting.at(20.0)
+        assert PropertySetting.at(200.0) is prop
+        assert eigenstate(PropertySetting.at(-160.0), Outcome.MINUS) is eigenstate(prop, -1)
+        for cache in (qubit._property_at, qubit._eigenstate):
+            assert 0 < cache.cache_info().maxsize < 10**5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "20", True, None, [20.0]])
+    def test_bad_orientation_raises_before_the_cache(self, bad):
+        before = qubit._property_at.cache_info()
+        with pytest.raises(ValueError):
+            PropertySetting.at(bad)
+        after = qubit._property_at.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
 
 class TestEigenstate:
     def test_plus_at_zero_is_horizontal(self):
@@ -117,6 +133,24 @@ class TestEigenstate:
         state = eigenstate(PropertySetting.at(45.0), Outcome.MINUS)
         assert state.amp_h == pytest.approx(math.sqrt(0.5), abs=ATOL)
         assert state.amp_v == pytest.approx(-math.sqrt(0.5), abs=ATOL)
+
+    def test_integer_outcomes_are_the_enum_values(self):
+        prop = PropertySetting.at(30.0)
+        assert eigenstate(prop, 1) == eigenstate(prop, Outcome.PLUS)
+        assert eigenstate(prop, np.int64(-1)) == eigenstate(prop, Outcome.MINUS)
+        assert eigenstate(prop, 1) != eigenstate(prop, -1)
+        assert conditional_probability((prop, -1), (prop, 1)) == pytest.approx(0.0, abs=ATOL)
+        assert conditional_probability((prop, 1), (prop, 1)) == pytest.approx(1.0, abs=ATOL)
+
+    @pytest.mark.parametrize(
+        "bad", [0, 2, -2, True, False, 1.0, "1", None, pytest.param(10**400, id="10**400")]
+    )
+    def test_rejects_other_outcomes(self, bad):
+        before = qubit._eigenstate.cache_info()
+        with pytest.raises(ValueError):
+            eigenstate(PropertySetting.at(30.0), bad)
+        after = qubit._eigenstate.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_outputs_normalized_and_orthogonal(self):
         rng = np.random.default_rng(11)
