@@ -340,49 +340,45 @@ def estimate_joint(
     return EstimatedProbability(value=value, std_error=std_error)
 
 
-@dataclass
-class _Memo:
-    """One estimation's work, each distinct piece done once.
+def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbability | None:
+    """One joint's estimate, or None when it has no coincidences.
 
-    ``joints`` maps (canonical preparation, analyzer) to its estimate, or to
-    its record while the estimate raises InsufficientStatisticsError, so only
-    such joints are estimated again.  ``references`` maps an analyzer to its
-    zero-angle record.  Any other record is dropped once its joint is known.
+    ``joints`` keeps what each joint, keyed (canonical preparation,
+    analyzer), gave: its estimate or its InsufficientStatisticsError.
+    ``references`` keeps the zero-angle record per analyzer; any other
+    record is dropped once its joint is known.
     """
-
-    joints: dict[tuple[float, float], EstimatedProbability | CountRecord] = field(
-        default_factory=dict
-    )
-    references: dict[float, CountRecord] = field(default_factory=dict)
-
-
-def _joint(cfg: ExperimentConfig, memo: _Memo, prep: float, meas: float) -> EstimatedProbability:
     meas = float(meas)
     key = (canonical_degrees(prep), meas)
-    record = memo.joints.get(key)
-    if isinstance(record, EstimatedProbability):
-        return record
-    reference = memo.references.get(meas)
-    if reference is None:
-        reference = memo.references[meas] = simulate_setting(cfg, Setting.for_angles(0.0, meas))
-    if record is None:
+    joint = joints.get(key)
+    if joint is None:
+        reference = references.get(meas)
+        if reference is None:
+            reference = references[meas] = simulate_setting(cfg, Setting.for_angles(0.0, meas))
         # A preparation at 0 degrees is its own reference record.
         if key[0] == 0.0:
             record = reference
         else:
             record = simulate_setting(cfg, Setting.for_angles(prep, meas))
-        # Kept only until the estimate below succeeds.
-        memo.joints[key] = record
-    memo.joints[key] = estimate = estimate_joint(record, reference)
-    return estimate
+        try:
+            joint = estimate_joint(record, reference)
+        except InsufficientStatisticsError as error:
+            # Without its traceback the error holds no frame, so no cycle
+            # through the frames that hold ``joints``.
+            joint = error.with_traceback(None)
+        joints[key] = joint
+    return None if isinstance(joint, InsufficientStatisticsError) else joint
 
 
-def _witness(cfg: ExperimentConfig, memo: _Memo, a: float, b: float, c: float) -> SEstimate:
+def _witness(cfg, joints, references, a: float, b: float, c: float) -> SEstimate | None:
     # Joints in witness order: plus-a then minus-b, plus-b then minus-c,
-    # plus-a then minus-c; errors combine in quadrature.
-    j_ab = _joint(cfg, memo, a, b)
-    j_bc = _joint(cfg, memo, b, c)
-    j_ac = _joint(cfg, memo, a, c)
+    # plus-a then minus-c; errors combine in quadrature.  The first joint
+    # without coincidences (None) makes the node a hole and ends it.
+    j_ab = _joint(cfg, joints, references, a, b)
+    j_bc = j_ab and _joint(cfg, joints, references, b, c)
+    j_ac = j_bc and _joint(cfg, joints, references, a, c)
+    if j_ac is None:
+        return None
     value = j_ab.value + j_bc.value - j_ac.value
     std_error = math.sqrt(j_ab.std_error**2 + j_bc.std_error**2 + j_ac.std_error**2)
     return SEstimate(value=value, std_error=std_error)
@@ -395,7 +391,13 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     zero-angle references, combines the joint estimates, and propagates
     the three errors in quadrature.
     """
-    return _witness(cfg, _Memo(), *triple.as_tuple())
+    joints = {}
+    estimate = _witness(cfg, joints, {}, *triple.as_tuple())
+    if estimate is None:
+        # The witness stops at its first failing joint, the last one cached;
+        # popped, so the raised error's frames hold no cache that holds it.
+        raise joints.popitem()[1]
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,47 +429,38 @@ def run_full_scan(
 ) -> FullScanResult:
     """Reconstruct the witness over the bench's acquisition grid.
 
-    The preparation angle runs over [0, 180] in steps of ``cfg.p2_step``
-    and the analyzer over [0, 180] in steps of twice ``cfg.hwp_step``.
-    Surface nodes fix ``theta_a`` (defaulting to the grid node nearest the
-    optimum); the profile additionally fixes theta_b.  Every required
-    setting is simulated once and reused, and results are independent of
-    evaluation order.
+    The preparation angle runs from 0 in steps of ``cfg.p2_step`` and the
+    analyzer in steps of twice ``cfg.hwp_step``, each to its last node at
+    or below 180.  Surface nodes fix ``theta_a`` (defaulting to the grid
+    node nearest the optimum); the profile additionally fixes theta_b.
+    Every required setting is simulated once and each joint estimated
+    once, and results are independent of evaluation order.
     """
     theta_a = _number("theta_a", theta_a)
     theta_b_profile = _number("theta_b_profile", theta_b_profile, 0.0, 180.0)
-    meas_step = 2.0 * cfg.hwp_step
+    steps = (cfg.p2_step, 2.0 * cfg.hwp_step)
+    # Each axis takes nodes i * step, i < size, and drops those past 180.
     # theta_b's axis below compares every preparation node with every
     # analyzer node, so that product is the grid to bound.
-    _check_grid_size(
-        np.ceil((180.0 + 0.5 * cfg.p2_step) / cfg.p2_step)
-        * np.ceil((180.0 + 0.5 * meas_step) / meas_step)
-    )
-    prep_axis = np.arange(0.0, 180.0 + 0.5 * cfg.p2_step, cfg.p2_step)
-    meas_axis = np.arange(0.0, 180.0 + 0.5 * meas_step, meas_step)
+    sizes = [np.ceil((180.0 + 0.5 * step) / step) for step in steps]
+    _check_grid_size(sizes[0] * sizes[1])
+    axes = [np.arange(size) * step for size, step in zip(sizes, steps)]
+    prep_axis, theta_c_axis = (nodes[nodes <= 180.0] for nodes in axes)
     # theta_b serves as both preparation and analysis angle, so its axis
     # is the part of the preparation grid that the analyzer can reach.
     theta_b_axis = np.array(
-        [angle for angle in prep_axis if np.any(np.abs(meas_axis - angle) < 1e-9)]
+        [angle for angle in prep_axis if np.any(np.abs(theta_c_axis - angle) < 1e-9)]
     )
-    theta_c_axis = meas_axis.copy()
 
-    memo = _Memo()
-
-    def witness_or_none(tb: float, tc: float) -> SEstimate | None:
-        try:
-            return _witness(cfg, memo, theta_a, tb, tc)
-        except InsufficientStatisticsError:
-            return None
-
-    surface = [[witness_or_none(tb, tc) for tc in theta_c_axis] for tb in theta_b_axis]
-    profile = [witness_or_none(theta_b_profile, tc) for tc in theta_c_axis]
-
-    surface_theory = np.array(
-        [[s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis] for tb in theta_b_axis]
-    )
-    profile_theory = np.array(
-        [s_quantum(AngleTriple(theta_a, theta_b_profile, tc)) for tc in theta_c_axis]
+    # One pass over the rows, the profile last, so its nodes reuse the
+    # surface's joints and each joint is estimated once.
+    rows = (*theta_b_axis, theta_b_profile)
+    joints, references = {}, {}
+    estimates = [
+        [_witness(cfg, joints, references, theta_a, tb, tc) for tc in theta_c_axis] for tb in rows
+    ]
+    theory = np.array(
+        [[s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis] for tb in rows]
     )
 
     return FullScanResult(
@@ -475,10 +468,10 @@ def run_full_scan(
         theta_b_profile=theta_b_profile,
         theta_b_axis=theta_b_axis,
         theta_c_axis=theta_c_axis,
-        surface=surface,
-        profile=profile,
-        surface_theory=surface_theory,
-        profile_theory=profile_theory,
+        surface=estimates[:-1],
+        profile=estimates[-1],
+        surface_theory=theory[:-1],
+        profile_theory=theory[-1],
     )
 
 

@@ -71,6 +71,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_classical_verify(args: argparse.Namespace) -> int:
     qubit._number("--samples", args.samples, 1, integer=True)
+    qubit._number("--seed", args.seed, 0, integer=True)
     vertices = classical.enumerate_vertices()
     print("vertex witness values: " + ", ".join(f"{value:g}" for _, value in vertices))
     for state, value in vertices:

@@ -345,10 +345,11 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     The 1-D and 2-D CSV layouts do not record the angles of the fixed
     axes, so those come back as single zero nodes; values and free axes
     round-trip exactly at the written precision.  A CSV document that is
-    empty, has no data rows, or has rows whose cell count differs from the
-    header's raises ValueError, as does a JSON document that is not an
-    object holding three axis lists and a values list, all of numbers, and
-    a document that is not a string.
+    empty, has a header export_surface does not write, has no data rows,
+    or has rows whose cell count differs from the header's raises
+    ValueError, as does a JSON document that is not an object holding
+    three axis lists and a values list, all of numbers, and a document that
+    is not a string.
     """
     if not isinstance(document, str):
         raise ValueError(f"surface document must be a string, got {type(document).__name__}")
@@ -371,20 +372,28 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     if not rows or rows.isspace():
         raise ValueError("CSV surface document has a header but no data rows")
     header = header_line.split(",")
+    name = header[0]
+    # Only the headers export_surface writes: long rows, one free axis, or
+    # a matrix whose row axis comes before its column axis.
+    long = header == [*AXIS_NAMES, "S"]
+    pairs = {"/".join(pair) for pair in itertools.combinations(AXIS_NAMES, 2)}
+    matrix = len(header) > 1 and name in pairs
+    if not (long or matrix or header == [name, "S"] and name in AXIS_NAMES):
+        raise ValueError(f"CSV surface header {header_line!r} is not one export_surface writes")
     # numpy's C reader parses each cell to the same double as float().  A
     # list of lines peaks lower than a StringIO, which holds 4 bytes a
     # character; loadtxt skips the blank last line.
     body = np.loadtxt(rows.split("\n"), delimiter=",", comments=None, ndmin=2)
     if body.shape[1] != len(header):
         raise ValueError(f"CSV rows have {body.shape[1]} cells, the header has {len(header)}")
-    if header == [*AXIS_NAMES, "S"]:
+    if long:
         axes = tuple(np.unique(body[:, i]) for i in range(3))
         return SLandscape(axes=axes, values=body[:, 3])
     axes = [np.zeros(1)] * 3
-    if "/" in header[0]:
-        row_name, col_name = header[0].split("/")
+    if matrix:
+        row_name, col_name = name.split("/")
         axes[AXIS_NAMES.index(row_name)] = body[:, 0]
         axes[AXIS_NAMES.index(col_name)] = np.array([float(cell) for cell in header[1:]])
         return SLandscape(axes=tuple(axes), values=body[:, 1:].ravel(order="C"))
-    axes[AXIS_NAMES.index(header[0])] = body[:, 0]
+    axes[AXIS_NAMES.index(name)] = body[:, 0]
     return SLandscape(axes=tuple(axes), values=body[:, 1])

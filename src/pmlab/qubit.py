@@ -77,10 +77,6 @@ class Angle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "degrees", canonical_degrees(_number("orientation", self.degrees)))
 
-    @property
-    def radians(self) -> float:
-        return math.radians(self.degrees)
-
 
 class Outcome(IntEnum):
     """Eigenvalue of a dichotomic polarization property."""

@@ -366,6 +366,15 @@ class TestEstimateS:
         est = estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(*triple))
         assert (repr(est.value), repr(est.std_error)) == expected
 
+    def test_hole_raises_the_failing_joints_error(self):
+        # Recorded before failing joints were cached.  A preparation at 90
+        # degrees passes nothing, so the first joint, (90, 30), is empty.
+        with pytest.raises(InsufficientStatisticsError) as caught:
+            estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(90, 30, 60))
+        assert str(caught.value) == (
+            "no coincidences to estimate from (record 0.0, reference 18038.0)"
+        )
+
     def test_matches_full_scan_nodes_bit_for_bit(self):
         # One estimation path: a surface node and a lone estimate at the same
         # orientations come from the same records through the same sums.
@@ -466,9 +475,9 @@ class TestRunFullScan:
 
     def test_each_setting_simulated_and_each_joint_estimated_once(self, monkeypatch):
         # theta_b_profile = 90 repeats the surface's failing (90, theta_c)
-        # joints, which are the only ones estimated again.
-        simulated = collections.Counter()
-        succeeded, failed = [], collections.Counter()
+        # joints, and those too are estimated once.
+        simulated, estimated = collections.Counter(), collections.Counter()
+        failed = set()
 
         def counted_simulate(cfg, setting):
             simulated[canonical_degrees(setting.theta_prep), setting.theta_meas] += 1
@@ -476,20 +485,35 @@ class TestRunFullScan:
 
         def counted_estimate(record, reference):
             key = (canonical_degrees(record.setting.theta_prep), record.setting.theta_meas)
+            estimated[key] += 1
             try:
-                estimate = estimate_joint(record, reference)
+                return estimate_joint(record, reference)
             except InsufficientStatisticsError:
-                failed[key] += 1
+                failed.add(key)
                 raise
-            succeeded.append(key)
-            return estimate
 
         monkeypatch.setattr(bench, "simulate_setting", counted_simulate)
         monkeypatch.setattr(bench, "estimate_joint", counted_estimate)
         run_full_scan(ExperimentConfig(rng_seed=3), theta_b_profile=90.0)
         assert max(simulated.values()) == 1
-        assert len(succeeded) == len(set(succeeded))
-        assert max(failed.values()) == 2 and not failed.keys() & set(succeeded)
+        assert max(estimated.values()) == 1
+        assert {prep for prep, _ in failed} == {90.0}
+
+    @pytest.mark.parametrize("theta_b_profile", [0.0, 126.0, 90.0, 180.0])
+    def test_profile_on_an_axis_row_is_that_row(self, theta_b_profile):
+        result = run_full_scan(ExperimentConfig(rng_seed=2), theta_b_profile=theta_b_profile)
+        row = result.theta_b_axis.tolist().index(theta_b_profile)
+        bits = lambda nodes: [e and (e.value.hex(), e.std_error.hex()) for e in nodes]
+        assert bits(result.profile) == bits(result.surface[row])
+        assert result.profile_theory.tobytes() == result.surface_theory[row].tobytes()
+
+    @pytest.mark.parametrize("p2_step,hwp_step,last", [(7.0, 3.5, 175.0), (6.0, 100.0, 0.0)])
+    def test_axes_stop_at_the_last_node_within_180(self, p2_step, hwp_step, last):
+        # Steps that do not divide 180 end both axes at their last node below it.
+        cfg = ExperimentConfig.ideal(1e4, rng_seed=1, p2_step=p2_step, hwp_step=hwp_step)
+        result = run_full_scan(cfg, theta_b_profile=0.0)
+        assert result.theta_b_axis[-1] == result.theta_c_axis[-1] == last
+        assert result.surface_theory.shape == (result.theta_b_axis.size, result.theta_c_axis.size)
 
     def test_single_node_grid_yields_one_estimate(self):
         cfg = ExperimentConfig.ideal(1e5, rng_seed=1, p2_step=360.0, hwp_step=180.0)

@@ -130,6 +130,11 @@ class TestClassicalVerify:
         code, _, _ = run(capsys, "classical-verify", "--samples", "0")
         assert code == 2
 
+    def test_rejects_negative_seed_before_printing(self, capsys):
+        code, out, err = run(capsys, "classical-verify", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --seed ") and err.count("\n") == 1
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         # Force an impossible witness value to exercise the failure path.
         monkeypatch.setattr(cli.classical, "s_classical", lambda ens: -1.0)
@@ -315,6 +320,17 @@ class TestFullScan:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
         assert not (tmp_path / "surface.csv").exists()
+
+    def test_steps_not_dividing_180_stop_at_175(self, capsys, tmp_path):
+        cfg = ExperimentConfig(p2_step=7.0, hwp_step=3.5)
+        path = tmp_path / "odd.json"
+        path.write_text(cfg.to_json(), encoding="utf-8")
+        code, _, err = run(capsys, "full-scan", "--config", str(path), "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        surface = (tmp_path / "surface.csv").read_text(encoding="utf-8").splitlines()
+        profile = (tmp_path / "profile.csv").read_text(encoding="utf-8").splitlines()
+        assert surface[-1].startswith("175.000000,175.000000,")
+        assert profile[-1].startswith("175.000000,")
 
     def test_missing_out_flag_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "full-scan", "--config", self.coarse_config(tmp_path))

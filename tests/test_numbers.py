@@ -107,6 +107,15 @@ GRID = ScanGrid.full_range(90.0)
             lambda: accidental_estimate(CountRecord(1, 1, 1, 1, 1, SETTING, 0), 1e-9),
             id="accidental-zero-duration",
         ),
+        pytest.param(lambda: parse_surface("foo,S\n1,2\n"), id="parse_surface-unknown-axis"),
+        pytest.param(lambda: parse_surface("theta_c,S,X\n1,2,3\n"), id="parse_surface-extra-col"),
+        pytest.param(lambda: parse_surface("theta_c,Q\n1,2\n"), id="parse_surface-not-S"),
+        pytest.param(
+            lambda: parse_surface("theta_a/theta_a,1,2\n1,2,3\n"), id="parse_surface-one-axis-twice"
+        ),
+        pytest.param(
+            lambda: parse_surface("theta_c/theta_a,1,2\n1,2,3\n"), id="parse_surface-axes-reversed"
+        ),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
         pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
