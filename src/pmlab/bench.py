@@ -30,6 +30,15 @@ from .qubit import (
 )
 
 
+#: Largest mean count the bench draws, a ninth of what numpy's sampler takes.
+_MAX_MEAN = 1e18
+
+
+def _high_count(mean: float) -> float:
+    # Ten standard deviations and ten counts above a Poisson mean; 0 stays 0.
+    return mean + 10.0 * math.sqrt(mean) + 10.0 if mean > 0.0 else 0.0
+
+
 class ConfigError(ValueError):
     """Raised for invalid bench configuration values or documents."""
 
@@ -69,6 +78,25 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
             object.__setattr__(self, f.name, value)
+        # numpy's Poisson sampler refuses means above about 9.2e18.  The
+        # accidental means scale with drawn counts, so those are taken far in
+        # their tails.
+        time = self.integration_time
+        triggers = _high_count(self.heralded_rate * time * self.eff_d3)
+        means = {"heralded_rate * integration_time": self.heralded_rate * time}
+        for k in (1, 2, 3):
+            dark = getattr(self, f"dark_rate_d{k}") * time
+            means[f"dark_rate_d{k} * integration_time"] = dark
+            if k < 3:
+                factors = f"dark_rate_d{k} * heralded_rate * eff_d3 * coincidence_window"
+                means[f"{factors} * integration_time"] = (
+                    _high_count(dark) * triggers * self.coincidence_window / time
+                )
+        for product, mean in means.items():
+            if not mean <= _MAX_MEAN:
+                raise ConfigError(
+                    f"{product} asks for Poisson means up to {mean:.4g}, above {_MAX_MEAN:g}"
+                )
 
     @classmethod
     def ideal(cls, heralded_rate: float, rng_seed: int = 0, **overrides) -> "ExperimentConfig":
@@ -160,34 +188,29 @@ class CountRecord:
             raise ValueError(f"setting must be a Setting, got {self.setting!r}")
 
 
-def _checked_estimate(self) -> None:
-    # Both estimate records, checked but not stored back: scans build ~10**5.
-    _number("value", self.value)
-    _number("std_error", self.std_error, 0.0)
-
-
 @dataclass(frozen=True)
-class EstimatedProbability:
+class _Estimate:
+    """A value with its propagated standard error."""
+
+    value: float
+    std_error: float
+
+    def __post_init__(self) -> None:
+        # Checked but not stored back: scans build ~10**5 estimates.
+        _number("value", self.value)
+        _number("std_error", self.std_error, 0.0)
+
+
+class EstimatedProbability(_Estimate):
     """A probability estimate with its propagated standard error.
 
     The estimator is deliberately not clamped; counting noise can push it
     slightly outside [0, 1].
     """
 
-    value: float
-    std_error: float
 
-    __post_init__ = _checked_estimate
-
-
-@dataclass(frozen=True)
-class SEstimate:
+class SEstimate(_Estimate):
     """Witness estimate with propagated error and violation significance."""
-
-    value: float
-    std_error: float
-
-    __post_init__ = _checked_estimate
 
     @property
     def sigma_violation(self) -> float:
@@ -210,8 +233,9 @@ def _setting_seed(seed: int, setting: Setting) -> np.random.SeedSequence:
 
 
 def _clip_probability(p: float) -> float:
-    # Squared overlaps can exceed 1 by a couple of ulps; the RNG rejects that.
-    return min(max(p, 0.0), 1.0)
+    # Squared overlaps can exceed 1 by a couple of ulps, never go below 0;
+    # the RNG rejects anything above 1.
+    return min(p, 1.0)
 
 
 def _transmit(
@@ -344,7 +368,7 @@ def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbab
     """One joint's estimate, or None when it has no coincidences.
 
     ``joints`` keeps what each joint, keyed (canonical preparation,
-    analyzer), gave: its estimate or its InsufficientStatisticsError.
+    analyzer), gave: its estimate or its InsufficientStatisticsError's message.
     ``references`` keeps the zero-angle record per analyzer; any other
     record is dropped once its joint is known.
     """
@@ -363,11 +387,9 @@ def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbab
         try:
             joint = estimate_joint(record, reference)
         except InsufficientStatisticsError as error:
-            # Without its traceback the error holds no frame, so no cycle
-            # through the frames that hold ``joints``.
-            joint = error.with_traceback(None)
+            joint = str(error)
         joints[key] = joint
-    return None if isinstance(joint, InsufficientStatisticsError) else joint
+    return None if isinstance(joint, str) else joint
 
 
 def _witness(cfg, joints, references, a: float, b: float, c: float) -> SEstimate | None:
@@ -394,9 +416,8 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     joints = {}
     estimate = _witness(cfg, joints, {}, *triple.as_tuple())
     if estimate is None:
-        # The witness stops at its first failing joint, the last one cached;
-        # popped, so the raised error's frames hold no cache that holds it.
-        raise joints.popitem()[1]
+        # The witness stops at its first failing joint, the last one cached.
+        raise InsufficientStatisticsError(joints.popitem()[1])
     return estimate
 
 

@@ -27,6 +27,8 @@ _CSV_SPEC = f".{CSV_DECIMALS}f"
 _NEGATIVE_ZERO = f"-{0:{_CSV_SPEC}}"
 #: Refined points tying the minimum within this are reported as degenerate.
 DEGENERACY_ATOL = 1e-4
+#: Tying points with every angle this close on the circle are one minimum.
+_SAME_MINIMUM_DEGREES = 0.5
 #: Number of coarse-grid nodes used to start local refinement.
 DEFAULT_STARTS = 5
 #: Most nodes any one grid may hold; the 1-degree full cube has 181**3.
@@ -228,6 +230,12 @@ def _cube_search(
     return best, best_value, evaluations
 
 
+def _same_minimum(t: AngleTriple, u: AngleTriple) -> bool:
+    # Canonical angles, so distances on the circle: 179.97 and 0.01 lie 0.04 apart.
+    gaps = (abs(x - y) for x, y in zip(t.as_tuple(), u.as_tuple()))
+    return all(min(gap, 180.0 - gap) <= _SAME_MINIMUM_DEGREES for gap in gaps)
+
+
 def minimize_s(
     seed_grid: ScanGrid | None = None,
     tolerance: float = 0.01,
@@ -263,15 +271,11 @@ def minimize_s(
     s_min = refined[0][0]
 
     candidates: list[AngleTriple] = []
-    seen: set[tuple[float, float, float]] = set()
     for value, point in refined:
         if value > s_min + DEGENERACY_ATOL:
             continue
         triple = AngleTriple(*point)
-        # Keyed on the circle: 179.97 and 0.01 both round to the 0.0 key.
-        key = tuple(round(x, 1) % 180.0 for x in triple.as_tuple())
-        if key not in seen:
-            seen.add(key)
+        if not any(_same_minimum(triple, kept) for kept in candidates):
             candidates.append(triple)
 
     return Optimum(
@@ -346,10 +350,11 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     axes, so those come back as single zero nodes; values and free axes
     round-trip exactly at the written precision.  A CSV document that is
     empty, has a header export_surface does not write, has no data rows,
-    or has rows whose cell count differs from the header's raises
-    ValueError, as does a JSON document that is not an object holding
-    three axis lists and a values list, all of numbers, and a document that
-    is not a string.
+    has rows whose cell count differs from the header's, or has long rows
+    whose angles are not the row-major product of their axes (each read in
+    order of first appearance) raises ValueError, as does a JSON document
+    that is not an object holding three axis lists and a values list, all
+    of numbers, and a document that is not a string.
     """
     if not isinstance(document, str):
         raise ValueError(f"surface document must be a string, got {type(document).__name__}")
@@ -387,7 +392,15 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     if body.shape[1] != len(header):
         raise ValueError(f"CSV rows have {body.shape[1]} cells, the header has {len(header)}")
     if long:
-        axes = tuple(np.unique(body[:, i]) for i in range(3))
+        # Each axis in order of first appearance; the label columns must then
+        # be the axes' product in row-major order, each node once.
+        labels = body[:, :3]
+        axes = tuple(
+            column[np.sort(np.unique(column, return_index=True)[1])] for column in labels.T
+        )
+        product = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        if not np.array_equal(labels, product):
+            raise ValueError("CSV surface rows are not the row-major product of their axes")
         return SLandscape(axes=axes, values=body[:, 3])
     axes = [np.zeros(1)] * 3
     if matrix:

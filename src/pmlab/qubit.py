@@ -12,15 +12,14 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 # Pure double-precision arithmetic throughout, so identities hold to
 # round-off and nothing looser is ever needed.
 PROBABILITY_ATOL = 1e-12
 _LARGEST = sys.float_info.max
-#: Entries kept by each cache of shared immutable records below: a 0.1 degree
-#: grid has 1,800 orientations, so 3,600 eigenstates.
+#: Settings kept by the cache below: a 0.1 degree grid has 1,800 orientations.
 _CACHE_SIZE = 4096
 
 
@@ -89,10 +88,20 @@ class Outcome(IntEnum):
 class PropertySetting:
     """Dichotomic observable whose +1 eigenstate lies along ``orientation``.
 
-    The -1 eigenstate lies along the orthogonal direction, 90 degrees away.
+    The -1 eigenstate lies along the orthogonal direction, 90 degrees away;
+    both are built once, with the setting, and held for :func:`eigenstate`.
     """
 
     orientation: Angle
+    _eigenstates: tuple[PureState, PureState] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.orientation, Angle):
+            raise ValueError(f"orientation must be an Angle, got {self.orientation!r}")
+        theta = math.radians(self.orientation.degrees)
+        plus = PureState(math.cos(theta), math.sin(theta))
+        minus = PureState(math.sin(theta), -math.cos(theta))
+        object.__setattr__(self, "_eigenstates", (plus, minus))
 
     @classmethod
     def at(cls, degrees: float) -> "PropertySetting":
@@ -141,21 +150,14 @@ def eigenstate(prop: PropertySetting, outcome: Outcome) -> PureState:
     For orientation theta the +1 eigenstate is (cos theta, sin theta) and
     the -1 eigenstate is (sin theta, -cos theta); the two are orthogonal.
     ``outcome`` may be an Outcome or the integer 1 or -1; the state returned
-    is shared by every call with the same orientation and outcome.
+    is the one ``prop`` holds for that outcome.
     """
     if not isinstance(outcome, Outcome):
         if _number("outcome", outcome, -1, 1, integer=True) == 0:
             raise ValueError("outcome must be 1 or -1, got 0")
         outcome = Outcome(outcome)
-    return _eigenstate(prop.orientation.degrees, outcome)
-
-
-@functools.lru_cache(maxsize=2 * _CACHE_SIZE)
-def _eigenstate(degrees: float, outcome: Outcome) -> PureState:
-    theta = math.radians(degrees)
-    if outcome is Outcome.PLUS:
-        return PureState(math.cos(theta), math.sin(theta))
-    return PureState(math.sin(theta), -math.cos(theta))
+    plus, minus = prop._eigenstates
+    return plus if outcome is Outcome.PLUS else minus
 
 
 def transition_probability(s1: PureState, s2: PureState) -> float:

@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmlab.classical import (
     ALL_STATES,
+    FIT_TOLERANCE,
     PAIR_AB,
     PAIR_AC,
     PAIR_BC,
@@ -63,6 +64,31 @@ def oracle_vertex_witness(alpha: int, beta: int, gamma: int) -> int:
     p_bc = 1 if (beta, gamma) == (1, -1) else 0
     p_ac = 1 if (alpha, gamma) == (1, -1) else 0
     return p_ab + p_bc - p_ac
+
+
+def closed_form_distance(t: JointTriple) -> float:
+    """L-infinity distance of a triple in [0, 1]^3 from the classical polytope."""
+    return max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0)
+
+
+# Triples anywhere in the cube: uniform, on a 0.01 lattice, and corners.
+unit_probability = (
+    st.floats(0.0, 1.0) | st.integers(0, 100).map(lambda k: k / 100) | st.sampled_from([0.0, 1.0])
+)
+unit_triples = st.tuples(unit_probability, unit_probability, unit_probability)
+
+
+@st.composite
+def facet_triples(draw):
+    """Triples at FIT_TOLERANCE +- 1e-9 from the polytope, on either facet."""
+    distance = FIT_TOLERANCE + draw(st.sampled_from([-1e-9, 1e-9]))
+    if draw(st.booleans()):
+        # p_ac - p_ab - p_bc = 3 distance, with p_ab + p_bc well below 1.
+        p_ab, p_bc = draw(st.floats(0.0, 0.45)), draw(st.floats(0.0, 0.45))
+        return p_ab, p_bc, p_ab + p_bc + 3.0 * distance
+    # p_ab + p_bc - 1 = 2 distance; then any p_ac is inside the other facet.
+    p_ab = draw(st.floats(2.0 * distance, 1.0))
+    return p_ab, 1.0 + 2.0 * distance - p_ab, draw(st.floats(0.0, 1.0))
 
 
 class TestGeneralizedState:
@@ -312,6 +338,20 @@ class TestFitClassical:
     def test_zero_and_integer_tolerances_are_numbers(self):
         assert fit_classical(JointTriple(p_ab=1.0, p_bc=0.0, p_ac=1.0), tolerance=0) is not None
         assert fit_classical(JointTriple(p_ab=0.9, p_bc=0.9, p_ac=0.9), tolerance=1) is not None
+
+    @settings(max_examples=400, deadline=None)
+    @given(triple=st.one_of(unit_triples, facet_triples()))
+    # Both facets at FIT_TOLERANCE - 1e-9 and + 1e-9, on every run.
+    @example(triple=(0.2, 0.3, 0.5 + 3.0 * (FIT_TOLERANCE - 1e-9)))
+    @example(triple=(0.2, 0.3, 0.5 + 3.0 * (FIT_TOLERANCE + 1e-9)))
+    @example(triple=(0.6, 0.4 + 2.0 * (FIT_TOLERANCE - 1e-9), 0.5))
+    @example(triple=(0.6, 0.4 + 2.0 * (FIT_TOLERANCE + 1e-9), 0.5))
+    def test_verdict_is_the_closed_form_distance(self, triple):
+        # The hull of the eight assignments is {p >= 0, p_ac <= p_ab + p_bc,
+        # p_ab + p_bc <= 1} (Fine, PRL 48, 291, 1982), so the LP's optimal
+        # worst-case deviation on [0, 1]^3 is closed_form_distance.
+        t = JointTriple(*triple)
+        assert (fit_classical(t) is None) == (closed_form_distance(t) > FIT_TOLERANCE)
 
     def test_weights_and_verdicts_pinned(self):
         digest = hashlib.sha256()

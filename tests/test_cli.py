@@ -226,6 +226,32 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "document,named",
+        [
+            ({"heralded_rate": 1e19}, "heralded_rate * integration_time"),
+            ({"integration_time": 1e300}, "heralded_rate * integration_time"),
+            ({"dark_rate_d1": 1e300}, "dark_rate_d1 * integration_time"),
+            ({"coincidence_window": 1e300}, "coincidence_window"),
+            ({"heralded_rate": 1e18, "coincidence_window": 1.0}, "coincidence_window"),
+        ],
+    )
+    def test_mean_too_large_to_sample_is_usage_error(self, capsys, tmp_path, document, named):
+        # Each field is in range, but numpy's Poisson sampler would refuse a
+        # product of them.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and named in err and "Poisson" in err
+
+    def test_large_rates_below_the_bound_still_run(self, capsys, tmp_path):
+        path = tmp_path / "fast.json"
+        path.write_text('{"heralded_rate": 1e12}', encoding="utf-8")
+        assert run(capsys, "simulate", "--config", str(path))[0] == 0
+        path.write_text('{"heralded_rate": 1e15, "p2_step": 30, "hwp_step": 15}', encoding="utf-8")
+        assert run(capsys, "full-scan", "--config", str(path), "--out", str(tmp_path))[0] == 0
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_angle_is_usage_error(self, capsys, value):
         code, out, err = run(capsys, "simulate", "--theta-a", value)

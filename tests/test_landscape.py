@@ -281,6 +281,21 @@ class TestMinimizeS:
         opt = minimize_s(ScanGrid.full_range(90.0), starts=2)
         assert [c.as_tuple() for c in opt.candidates] == [(0.01, 60.0, 30.0)]
 
+    @pytest.mark.parametrize("step", [36.0, 45.0, 60.0, 90.0, 180.0])
+    @pytest.mark.parametrize("tolerance", [0.1, 0.05, 0.01, 0.001])
+    def test_each_minimum_listed_once(self, step, tolerance):
+        # The landscape has two minima, mirror images through 90 degrees.
+        # Before candidates were compared by distance, a 0.1-degree rounding
+        # key listed one of them twice at steps 36 (tolerance 0.01), 90 (0.1)
+        # and 180 (0.1 and 0.05), all at the default starts.
+        for starts in (2, 5, 10, 20):
+            opt = minimize_s(ScanGrid.full_range(step), tolerance, starts)
+            assert 1 <= len(opt.candidates) <= 2
+            if len(opt.candidates) == 2:
+                first, second = (c.as_tuple() for c in opt.candidates)
+                mirrored = tuple(180.0 - x for x in second)
+                assert angles_close_mod_180(first, mirrored, 0.5)
+
     def test_rejects_bad_tolerance(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tolerance"):
@@ -324,7 +339,7 @@ def csv_documents(draw):
     """A document in one of the three CSV layouts, cells as _fmt or repr writes them."""
     write = draw(st.sampled_from([landscape._fmt, repr]))
     number = st.floats(allow_nan=False, allow_infinity=False)
-    # Distinct once written, so the cube's np.unique sees every node.
+    # Distinct once written, so every node of the cube is a distinct row.
     axis = st.lists(number, min_size=2, max_size=4, unique_by=lambda x: float(write(x)))
     layout = draw(st.sampled_from(["1d", "2d", "cube"]))
     if layout == "cube":
@@ -342,6 +357,14 @@ def csv_documents(draw):
 
 
 class TestParse:
+    def test_long_layout_keeps_descending_axes(self):
+        # Sorting the axes would put the value of node (10, 5, 3) on (0, 1, 2).
+        axes = (np.array([10.0, 0.0]), np.array([5.0, 1.0]), np.array([3.0, 2.0]))
+        land = SLandscape(axes=axes, values=np.arange(8.0))
+        parsed = parse_surface(export_surface(land, "csv"), "csv")
+        assert [axis.tolist() for axis in parsed.axes] == [axis.tolist() for axis in axes]
+        assert parsed.values.tolist() == land.values.tolist()
+
     @settings(max_examples=300, deadline=None)
     @given(case=csv_documents())
     def test_bit_identical_to_float_per_cell(self, case):
@@ -350,8 +373,9 @@ class TestParse:
         parsed = parse_surface(document, "csv")
         if layout == "cube":
             assert same_bits(parsed.values, body[:, 3])
+            # Each axis in order of first appearance, as drawn, unsorted.
             for axis, column in zip(parsed.axes, body[:, :3].T):
-                assert same_bits(axis, np.unique(column))
+                assert same_bits(axis, list(dict.fromkeys(column.tolist())))
         elif layout == "2d":
             assert same_bits(parsed.values, body[:, 1:].ravel())
             assert same_bits(parsed.axes[1], body[:, 0])

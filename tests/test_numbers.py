@@ -49,6 +49,7 @@ REFERENCE = simulate_setting(COARSE, Setting(0.0, 25.0))
 SETTING = Setting(0.0, 0.0)
 TRIPLE = JointTriple(0.3, 0.2, 0.4)
 GRID = ScanGrid.full_range(90.0)
+LONG_HEADER = "theta_a,theta_b,theta_c,S"
 
 
 @pytest.mark.parametrize(
@@ -116,11 +117,30 @@ GRID = ScanGrid.full_range(90.0)
         pytest.param(
             lambda: parse_surface("theta_c/theta_a,1,2\n1,2,3\n"), id="parse_surface-axes-reversed"
         ),
+        pytest.param(
+            lambda: parse_surface(f"{LONG_HEADER}\n0,0,0,1\n0,1,0,2\n1,0,0,3\n0,0,0,4\n"),
+            id="parse_surface-long-node-twice-one-missing",
+        ),
+        pytest.param(
+            lambda: parse_surface(f"{LONG_HEADER}\n0,0,0,1\n1,0,0,2\n0,1,0,3\n1,1,0,4\n"),
+            id="parse_surface-long-not-row-major",
+        ),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
         pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
         pytest.param(
             lambda: ExperimentConfig.from_mapping({1: 0.0, "x": 0.0}), id="from_mapping-int-key"
+        ),
+        # Fields each in range whose products numpy's Poisson sampler refuses.
+        *(
+            pytest.param(lambda fields=fields: ExperimentConfig.from_mapping(fields), id=name)
+            for name, fields in [
+                ("config-heralded-mean", {"heralded_rate": 1e19}),
+                ("config-long-integration", {"integration_time": 1e300}),
+                ("config-dark-mean", {"dark_rate_d1": 1e300}),
+                ("config-wide-window", {"coincidence_window": 1e300}),
+                ("config-accidental-mean", {"heralded_rate": 1e18, "coincidence_window": 1.0}),
+            ]
         ),
     ],
 )

@@ -106,8 +106,18 @@ class TestTypes:
         prop = PropertySetting.at(20.0)
         assert PropertySetting.at(200.0) is prop
         assert eigenstate(PropertySetting.at(-160.0), Outcome.MINUS) is eigenstate(prop, -1)
-        for cache in (qubit._property_at, qubit._eigenstate):
-            assert 0 < cache.cache_info().maxsize < 10**5
+        assert 0 < qubit._property_at.cache_info().maxsize < 10**5
+
+    def test_eigenstates_are_built_with_the_setting(self):
+        prop = PropertySetting(Angle(200.0))
+        assert eigenstate(prop, Outcome.PLUS) is eigenstate(prop, 1)
+        assert eigenstate(prop, Outcome.MINUS) == eigenstate(PropertySetting.at(20.0), -1)
+        assert repr(prop) == "PropertySetting(orientation=Angle(degrees=20.0))"
+
+    @pytest.mark.parametrize("bad", [5.0, 20, "20", None, Outcome.PLUS])
+    def test_orientation_must_be_an_angle(self, bad):
+        with pytest.raises(ValueError, match="orientation must be an Angle"):
+            PropertySetting(bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "20", True, None, [20.0]])
     def test_bad_orientation_raises_before_the_cache(self, bad):
@@ -146,11 +156,11 @@ class TestEigenstate:
         "bad", [0, 2, -2, True, False, 1.0, "1", None, pytest.param(10**400, id="10**400")]
     )
     def test_rejects_other_outcomes(self, bad):
-        before = qubit._eigenstate.cache_info()
+        prop = PropertySetting.at(30.0)
+        held = prop._eigenstates
         with pytest.raises(ValueError):
-            eigenstate(PropertySetting.at(30.0), bad)
-        after = qubit._eigenstate.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+            eigenstate(prop, bad)
+        assert prop._eigenstates is held
 
     def test_outputs_normalized_and_orthogonal(self):
         rng = np.random.default_rng(11)
