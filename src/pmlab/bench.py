@@ -132,6 +132,8 @@ class ExperimentConfig:
             payload = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("config JSON nests too deeply") from None
         return cls.from_mapping(payload)
 
     def to_json(self) -> str:
@@ -232,12 +234,6 @@ def _setting_seed(seed: int, setting: Setting) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
-def _clip_probability(p: float) -> float:
-    # Squared overlaps can exceed 1 by a couple of ulps, never go below 0;
-    # the RNG rejects anything above 1.
-    return min(p, 1.0)
-
-
 def _transmit(
     rng: np.random.Generator,
     n_photons: int,
@@ -272,8 +268,10 @@ def simulate_setting(cfg: ExperimentConfig, setting: Setting) -> CountRecord:
 
     prep = (PropertySetting.at(setting.theta_prep), Outcome.PLUS)
     meas = (PropertySetting.at(setting.theta_meas), Outcome.MINUS)
-    p_pass = _clip_probability(marginal_probability(H, prep))
-    p_to_d1 = _clip_probability(conditional_probability(meas, prep))
+    # Squared overlaps can exceed 1 by a couple of ulps, never go below 0;
+    # the RNG rejects anything above 1.
+    p_pass = min(marginal_probability(H, prep), 1.0)
+    p_to_d1 = min(conditional_probability(meas, prep), 1.0)
 
     n_herald = int(rng.poisson(cfg.heralded_rate * duration))
     n_trig = int(rng.binomial(n_herald, cfg.eff_d3))

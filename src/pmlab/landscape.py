@@ -191,6 +191,10 @@ def grid_scan(
     return SLandscape(axes=axes, values=values.ravel(order="C"))
 
 
+#: The 26 moves to the 3x3x3 neighborhood of a point, in the order they are tried.
+_CUBE_MOVES = [move for move in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(move)]
+
+
 def _cube_search(
     start: tuple[float, float, float],
     start_value: float,
@@ -204,13 +208,6 @@ def _cube_search(
     ``tolerance``.  Only strict improvements are accepted, so the result
     can never be worse than the start.
     """
-    offsets = [
-        (da, db, dc)
-        for da in (-1.0, 0.0, 1.0)
-        for db in (-1.0, 0.0, 1.0)
-        for dc in (-1.0, 0.0, 1.0)
-        if (da, db, dc) != (0.0, 0.0, 0.0)
-    ]
     best = start
     best_value = start_value
     evaluations = 0
@@ -219,7 +216,7 @@ def _cube_search(
         moved = True
         while moved:
             moved = False
-            for da, db, dc in offsets:
+            for da, db, dc in _CUBE_MOVES:
                 trial = (best[0] + da * step, best[1] + db * step, best[2] + dc * step)
                 value = _s_scalar(*trial)
                 evaluations += 1
@@ -267,7 +264,7 @@ def minimize_s(
         evaluations += used
         refined.append((value, point))
 
-    refined.sort(key=lambda item: (item[0], item[1]))
+    refined.sort()
     s_min = refined[0][0]
 
     candidates: list[AngleTriple] = []
@@ -320,14 +317,6 @@ def _to_csv(land: SLandscape) -> str:
     return _csv([*AXIS_NAMES, "S"], [axis.tolist() for axis in land.axes], values)
 
 
-def _to_json(land: SLandscape) -> str:
-    payload = {
-        "axes": [axis.tolist() for axis in land.axes],
-        "values": land.values.tolist(),
-    }
-    return json.dumps(payload) + "\n"
-
-
 def export_surface(land: SLandscape, format: str = "csv") -> str:
     """Render a landscape as a plot-ready document.
 
@@ -339,8 +328,17 @@ def export_surface(land: SLandscape, format: str = "csv") -> str:
     if format == "csv":
         return _to_csv(land)
     if format == "json":
-        return _to_json(land)
+        axes = [axis.tolist() for axis in land.axes]
+        return json.dumps({"axes": axes, "values": land.values.tolist()}) + "\n"
     raise ValueError(f"unknown export format: {format!r}")
+
+
+def _distinct_nodes(land: SLandscape) -> SLandscape:
+    # A parsed axis that lists one node twice would put two values on it.
+    for name, axis in zip(AXIS_NAMES, land.axes):
+        if np.unique(axis).size < axis.size:
+            raise ValueError(f"surface axis {name} lists a node twice")
+    return land
 
 
 def parse_surface(document: str, format: str = "csv") -> SLandscape:
@@ -352,21 +350,26 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     empty, has a header export_surface does not write, has no data rows,
     has rows whose cell count differs from the header's, or has long rows
     whose angles are not the row-major product of their axes (each read in
-    order of first appearance) raises ValueError, as does a JSON document
+    order of first appearance) raises ValueError, as do a JSON document
     that is not an object holding three axis lists and a values list, all
-    of numbers, and a document that is not a string.
+    of numbers, or that nests too deeply to parse; a document in any layout
+    with an axis that lists a node twice; and a document that is not a string.
     """
     if not isinstance(document, str):
         raise ValueError(f"surface document must be a string, got {type(document).__name__}")
     if format == "json":
+        try:
+            payload = json.loads(document, parse_int=float)
+        except RecursionError:
+            raise ValueError("JSON surface document nests too deeply") from None
         # With ints read as floats (too large ones as inf), one type set per
         # list rejects strings, booleans, nulls and nested lists.
-        match json.loads(document, parse_int=float):
+        match payload:
             case {"axes": [list(), list(), list()] as axes, "values": list() as values} if all(
                 {*map(type, cells)} <= {float} for cells in (*axes, values)
             ):
                 axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
-                return SLandscape(axes=axes, values=np.asarray(values, dtype=float))
+                return _distinct_nodes(SLandscape(axes, np.asarray(values, dtype=float)))
         raise ValueError('JSON surface must be {"axes": [3 lists], "values": list} of numbers')
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
@@ -391,22 +394,30 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     body = np.loadtxt(rows.split("\n"), delimiter=",", comments=None, ndmin=2)
     if body.shape[1] != len(header):
         raise ValueError(f"CSV rows have {body.shape[1]} cells, the header has {len(header)}")
-    if long:
-        # Each axis in order of first appearance; the label columns must then
-        # be the axes' product in row-major order, each node once.
-        labels = body[:, :3]
-        axes = tuple(
-            column[np.sort(np.unique(column, return_index=True)[1])] for column in labels.T
-        )
-        product = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        if not np.array_equal(labels, product):
-            raise ValueError("CSV surface rows are not the row-major product of their axes")
-        return SLandscape(axes=axes, values=body[:, 3])
     axes = [np.zeros(1)] * 3
-    if matrix:
+    if long:
+        # In row-major order the leading run of the first theta_a spans one
+        # theta_a node, and the leading run of theta_b within it one theta_b
+        # node; each axis is read off the grid those runs give, and every
+        # label column must equal its axis broadcast over the grid.
+        span_a = int(np.argmax(body[:, 0] != body[0, 0])) or len(body)
+        span_b = int(np.argmax(body[:span_a, 1] != body[0, 1])) or span_a
+        shape = (len(body) // span_a, span_a // span_b, span_b)
+        grid = body[: math.prod(shape), :3].reshape(*shape, 3)
+        axes = [grid[:, 0, 0, 0], grid[0, :, 0, 1], grid[0, 0, :, 2]]
+        if math.prod(shape) != len(body) or not (
+            (grid[..., 0] == axes[0][:, None, None]).all()
+            and (grid[..., 1] == axes[1][:, None]).all()
+            and (grid[..., 2] == axes[2]).all()
+        ):
+            raise ValueError("CSV surface rows are not the row-major product of their axes")
+        values = body[:, 3]
+    elif matrix:
         row_name, col_name = name.split("/")
         axes[AXIS_NAMES.index(row_name)] = body[:, 0]
         axes[AXIS_NAMES.index(col_name)] = np.array([float(cell) for cell in header[1:]])
-        return SLandscape(axes=tuple(axes), values=body[:, 1:].ravel(order="C"))
-    axes[AXIS_NAMES.index(name)] = body[:, 0]
-    return SLandscape(axes=tuple(axes), values=body[:, 1])
+        values = body[:, 1:].ravel(order="C")
+    else:
+        axes[AXIS_NAMES.index(name)] = body[:, 0]
+        values = body[:, 1]
+    return _distinct_nodes(SLandscape(axes=tuple(axes), values=values))

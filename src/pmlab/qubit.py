@@ -120,7 +120,8 @@ class PureState:
     """Normalized polarization state ``amp_h |H> + amp_v |V>``.
 
     Amplitudes may be complex, although every state built by
-    :func:`eigenstate` is real (linear polarization only).
+    :func:`eigenstate` is real (linear polarization only).  They are stored
+    as plain ``complex`` or, when real, ``float``.
     """
 
     amp_h: complex
@@ -128,9 +129,10 @@ class PureState:
 
     def __post_init__(self) -> None:
         # Complex amplitudes are left to the norm test; a product overflows to inf, ** 2 raises.
-        for amp in (self.amp_h, self.amp_v):
-            if not isinstance(amp, complex):
-                _number("amplitude", amp)
+        for name in ("amp_h", "amp_v"):
+            amp = getattr(self, name)
+            amp = complex(amp) if isinstance(amp, complex) else _number("amplitude", amp)
+            object.__setattr__(self, name, amp)
         norm = abs(self.amp_h) * abs(self.amp_h) + abs(self.amp_v) * abs(self.amp_v)
         if not abs(norm - 1.0) <= PROBABILITY_ATOL:
             raise ValueError(f"state must be normalized, got |amp|^2 = {norm!r}")
@@ -162,10 +164,7 @@ def eigenstate(prop: PropertySetting, outcome: Outcome) -> PureState:
 
 def transition_probability(s1: PureState, s2: PureState) -> float:
     """Born probability |<s1|s2>|^2, symmetric in its arguments."""
-    overlap = (
-        complex(s1.amp_h).conjugate() * complex(s2.amp_h)
-        + complex(s1.amp_v).conjugate() * complex(s2.amp_v)
-    )
+    overlap = s1.amp_h.conjugate() * s2.amp_h + s1.amp_v.conjugate() * s2.amp_v
     return overlap.real**2 + overlap.imag**2
 
 

@@ -226,6 +226,13 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    def test_deeply_nested_config_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "document,named",
         [

@@ -125,9 +125,34 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             lambda: parse_surface(f"{LONG_HEADER}\n0,0,0,1\n1,0,0,2\n0,1,0,3\n1,1,0,4\n"),
             id="parse_surface-long-not-row-major",
         ),
+        # One node rule: no layout may list a node twice on an axis.
+        pytest.param(
+            lambda: parse_surface("theta_c,S\n5,1\n5,2\n"), id="parse_surface-1d-node-twice"
+        ),
+        pytest.param(
+            lambda: parse_surface("theta_b/theta_c,1,1\n0,1,2\n"),
+            id="parse_surface-matrix-column-twice",
+        ),
+        pytest.param(
+            lambda: parse_surface("theta_b/theta_c,1,2\n0,1,2\n0,3,4\n"),
+            id="parse_surface-matrix-row-twice",
+        ),
+        pytest.param(
+            lambda: parse_surface(f"{LONG_HEADER}\n0,0,5,1\n0,0,5,2\n"),
+            id="parse_surface-long-node-twice",
+        ),
+        pytest.param(
+            lambda: parse_surface('{"axes": [[0],[0],[5,5]], "values": [1,2]}', "json"),
+            id="parse_surface-json-node-twice",
+        ),
+        pytest.param(lambda: parse_surface("[" * 100_000, "json"), id="parse_surface-json-deep"),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
         pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
+        pytest.param(lambda: ExperimentConfig.from_json("[" * 100_000), id="from_json-deep-list"),
+        pytest.param(
+            lambda: ExperimentConfig.from_json('{"a":' * 100_000), id="from_json-deep-object"
+        ),
         pytest.param(
             lambda: ExperimentConfig.from_mapping({1: 0.0, "x": 0.0}), id="from_mapping-int-key"
         ),

@@ -5,10 +5,14 @@ Expected probabilities are frozen from the closed trigonometric forms
 never uses directly: it works through eigenvector overlaps, so the two
 routes check each other.
 """
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmlab import qubit
 from pmlab.qubit import (
@@ -172,7 +176,60 @@ class TestEigenstate:
             assert transition_probability(up, up) == pytest.approx(1.0, abs=ATOL)
 
 
+def boxed_transition_probability(s1: PureState, s2: PureState) -> float:
+    """The Born rule with every amplitude boxed into complex first."""
+    overlap = (
+        complex(s1.amp_h).conjugate() * complex(s2.amp_h)
+        + complex(s1.amp_v).conjugate() * complex(s2.amp_v)
+    )
+    return overlap.real**2 + overlap.imag**2
+
+
+DEGREES = st.floats(-360.0, 360.0)
+PHASES = st.floats(-math.pi, math.pi)
+STATES = st.one_of(
+    st.sampled_from([H, V]),
+    st.builds(
+        lambda deg, outcome: eigenstate(PropertySetting.at(deg), outcome),
+        DEGREES,
+        st.sampled_from(Outcome),
+    ),
+    st.builds(
+        lambda deg, phase_h, phase_v: PureState(
+            cmath.rect(math.cos(math.radians(deg)), phase_h),
+            cmath.rect(math.sin(math.radians(deg)), phase_v),
+        ),
+        DEGREES,
+        PHASES,
+        PHASES,
+    ),
+)
+
+
 class TestTransitionProbability:
+    @given(s1=STATES, s2=STATES)
+    def test_bit_identical_to_boxed_formula(self, s1, s2):
+        p = transition_probability(s1, s2)
+        assert type(p) is float
+        assert p.hex() == boxed_transition_probability(s1, s2).hex()
+
+    @pytest.mark.parametrize(
+        "amps",
+        [(1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5)), (np.float64(0.6), np.float64(-0.8))],
+    )
+    def test_real_amplitudes_are_stored_as_float(self, amps):
+        state = PureState(*amps)
+        assert type(state.amp_h) is float and type(state.amp_v) is float
+        assert (state.amp_h, state.amp_v) == tuple(map(float, amps))
+        p = transition_probability(state, eigenstate(PropertySetting.at(30.0), Outcome.PLUS))
+        assert type(p) is float
+
+    def test_numpy_complex_amplitudes_give_a_float(self):
+        state = PureState(np.complex128(0.6), np.complex128(0.8j))
+        assert type(state.amp_h) is complex and type(state.amp_v) is complex
+        p = transition_probability(state, H)
+        assert type(p) is float and p.hex() == boxed_transition_probability(state, H).hex()
+
     def test_identity_and_orthogonal(self):
         assert transition_probability(H, H) == pytest.approx(1.0, abs=ATOL)
         assert transition_probability(H, V) == pytest.approx(0.0, abs=ATOL)
