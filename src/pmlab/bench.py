@@ -130,7 +130,8 @@ class ExperimentConfig:
     def from_json(cls, document: str) -> "ExperimentConfig":
         try:
             payload = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # A JSONDecodeError, or an integer past the interpreter's digit limit.
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except RecursionError:
             raise ConfigError("config JSON nests too deeply") from None

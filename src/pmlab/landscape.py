@@ -98,7 +98,8 @@ class SLandscape:
     """Witness values sampled on a rectangular grid of orientations.
 
     ``axes`` holds the node angles per dimension (length-1 for a fixed
-    angle); ``values`` is flat, row-major over (theta_a, theta_b, theta_c).
+    angle), each node once; ``values`` is flat, row-major over
+    (theta_a, theta_b, theta_c).
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -108,9 +109,12 @@ class SLandscape:
         if any(array.ndim != 1 for array in (*self.axes, self.values)):
             raise ValueError("landscape axes and values must be 1-D arrays")
         expected = 1
-        for axis in self.axes:
+        for name, axis in zip(AXIS_NAMES, self.axes, strict=True):
             if axis.size == 0 or not np.all(np.isfinite(axis)):
                 raise ValueError("landscape axes must be non-empty and finite")
+            # A node listed twice would carry two values.
+            if np.unique(axis).size < axis.size:
+                raise ValueError(f"surface axis {name} lists a node twice")
             expected *= axis.size
         if self.values.size != expected:
             raise ValueError(f"expected {expected} values, got {self.values.size}")
@@ -137,24 +141,14 @@ class Optimum:
     candidates: tuple[AngleTriple, ...]
 
 
-def _s_scalar(theta_a: float, theta_b: float, theta_c: float) -> float:
-    sin2_ab = math.sin(math.radians(theta_b - theta_a)) ** 2
-    sin2_bc = math.sin(math.radians(theta_c - theta_b)) ** 2
-    sin2_ac = math.sin(math.radians(theta_c - theta_a)) ** 2
-    cos2_a = math.cos(math.radians(theta_a)) ** 2
-    cos2_b = math.cos(math.radians(theta_b)) ** 2
-    return sin2_ab * cos2_a + sin2_bc * cos2_b - sin2_ac * cos2_a
-
-
-def _s_array(theta_a, theta_b, theta_c):
-    """Broadcasting evaluation of the witness over arrays of degrees."""
-    a = np.radians(theta_a)
-    b = np.radians(theta_b)
-    c = np.radians(theta_c)
+def _s(theta_a, theta_b, theta_c, xp=math):
+    """The witness from degrees: floats through ``math``, arrays through ``xp=np``."""
+    a, b, c = xp.radians(theta_a), xp.radians(theta_b), xp.radians(theta_c)
+    cos2_a = xp.cos(a) ** 2
     return (
-        np.sin(b - a) ** 2 * np.cos(a) ** 2
-        + np.sin(c - b) ** 2 * np.cos(b) ** 2
-        - np.sin(c - a) ** 2 * np.cos(a) ** 2
+        xp.sin(b - a) ** 2 * cos2_a
+        + xp.sin(c - b) ** 2 * xp.cos(b) ** 2
+        - xp.sin(c - a) ** 2 * cos2_a
     )
 
 
@@ -165,7 +159,7 @@ def s_quantum(t: AngleTriple) -> float:
     joint probabilities for a horizontally polarized input; can go
     negative, unlike any classical ensemble.
     """
-    return _s_scalar(t.theta_a, t.theta_b, t.theta_c)
+    return _s(t.theta_a, t.theta_b, t.theta_c)
 
 
 def grid_scan(
@@ -185,9 +179,7 @@ def grid_scan(
         axis.nodes() if isinstance(axis, ScanGrid) else np.array([_number(name, axis)])
         for name, axis in zip(AXIS_NAMES, (axis_a, axis_b, axis_c))
     )
-    values = _s_array(
-        axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]
-    )
+    values = _s(axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :], np)
     return SLandscape(axes=axes, values=values.ravel(order="C"))
 
 
@@ -218,7 +210,7 @@ def _cube_search(
             moved = False
             for da, db, dc in _CUBE_MOVES:
                 trial = (best[0] + da * step, best[1] + db * step, best[2] + dc * step)
-                value = _s_scalar(*trial)
+                value = _s(*trial)
                 evaluations += 1
                 if value < best_value:
                     best, best_value = trial, value
@@ -258,9 +250,8 @@ def minimize_s(
     for flat_index in order:
         ia, ib, ic = np.unravel_index(int(flat_index), land.shape)
         node = (float(land.axes[0][ia]), float(land.axes[1][ib]), float(land.axes[2][ic]))
-        node_value = _s_scalar(*node)
-        evaluations += 1
-        point, value, used = _cube_search(node, node_value, seed_grid.step, tolerance)
+        start_value = float(land.values[flat_index])
+        point, value, used = _cube_search(node, start_value, seed_grid.step, tolerance)
         evaluations += used
         refined.append((value, point))
 
@@ -333,14 +324,6 @@ def export_surface(land: SLandscape, format: str = "csv") -> str:
     raise ValueError(f"unknown export format: {format!r}")
 
 
-def _distinct_nodes(land: SLandscape) -> SLandscape:
-    # A parsed axis that lists one node twice would put two values on it.
-    for name, axis in zip(AXIS_NAMES, land.axes):
-        if np.unique(axis).size < axis.size:
-            raise ValueError(f"surface axis {name} lists a node twice")
-    return land
-
-
 def parse_surface(document: str, format: str = "csv") -> SLandscape:
     """Parse a document produced by :func:`export_surface`.
 
@@ -369,7 +352,7 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
                 {*map(type, cells)} <= {float} for cells in (*axes, values)
             ):
                 axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
-                return _distinct_nodes(SLandscape(axes, np.asarray(values, dtype=float)))
+                return SLandscape(axes, np.asarray(values, dtype=float))
         raise ValueError('JSON surface must be {"axes": [3 lists], "values": list} of numbers')
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
@@ -420,4 +403,4 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     else:
         axes[AXIS_NAMES.index(name)] = body[:, 0]
         values = body[:, 1]
-    return _distinct_nodes(SLandscape(axes=tuple(axes), values=values))
+    return SLandscape(axes=tuple(axes), values=values)

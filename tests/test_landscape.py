@@ -26,7 +26,7 @@ from pmlab.landscape import (
     parse_surface,
     s_quantum,
 )
-from pmlab.landscape import _s_array
+from pmlab.landscape import _s
 from pmlab.qubit import H, Outcome, PropertySetting, joint_probability
 
 # Frozen closed-form values at the quoted orientations.
@@ -162,7 +162,8 @@ class TestSQuantum:
     def test_kernels_match_the_chain_rule_joints(self, a, b, c):
         reference = witness_via_joints(a, b, c)
         assert abs(s_quantum(AngleTriple(a, b, c)) - reference) <= 1e-12
-        assert abs(float(_s_array(a, b, c)) - reference) <= 1e-12
+        assert abs(_s(a, b, c) - reference) <= 1e-12
+        assert abs(float(_s(np.array(a), np.array(b), np.array(c), np)) - reference) <= 1e-12
 
 
 class TestGridScan:

@@ -19,6 +19,7 @@ from pmlab import (
     Angle,
     AngleTriple,
     ClassicalEnsemble,
+    ConfigError,
     CountRecord,
     EstimatedProbability,
     ExperimentConfig,
@@ -145,6 +146,15 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             lambda: parse_surface('{"axes": [[0],[0],[5,5]], "values": [1,2]}', "json"),
             id="parse_surface-json-node-twice",
         ),
+        # export_surface would write either landscape as a document parse_surface rejects.
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.array([5.0, 5.0])), np.ones(2)),
+            id="SLandscape-node-twice",
+        ),
+        pytest.param(
+            lambda: grid_scan(0.0, 0.0, ScanGrid(1e16, 1e16 + 4, 1)),
+            id="grid_scan-nodes-round-together",
+        ),
         pytest.param(lambda: parse_surface("[" * 100_000, "json"), id="parse_surface-json-deep"),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
@@ -172,6 +182,17 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
 def test_hole_is_a_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+# Config documents raise the bench's ValueError subclass, which the table
+# above cannot tell from another ValueError.
+@pytest.mark.parametrize(
+    "document",
+    [pytest.param('{"rng_seed": 1' + "0" * 5000 + "}", id="from_json-over-long-int")],
+)
+def test_config_document_hole_is_a_config_error(document):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(document)
 
 
 def test_int_config_fields_are_stored_as_floats():
