@@ -130,8 +130,9 @@ class ExperimentConfig:
     def from_json(cls, document: str) -> "ExperimentConfig":
         try:
             payload = json.loads(document)
-        except ValueError as exc:
-            # A JSONDecodeError, or an integer past the interpreter's digit limit.
+        except (ValueError, TypeError) as exc:
+            # A JSONDecodeError, an integer past the interpreter's digit
+            # limit, or a document that is not a string.
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except RecursionError:
             raise ConfigError("config JSON nests too deeply") from None
@@ -145,15 +146,18 @@ class ExperimentConfig:
 class Setting:
     """One acquisition setting: polarizer orientation and wave-plate angle.
 
-    The analyzer orientation is twice the wave-plate fast-axis angle, so a
-    plate scanned over [0, 90] covers the full [0, 180] analyzer range.
+    The polarizer orientation is stored canonically in [0, 180), so
+    physically equal settings compare equal.  The analyzer orientation is
+    twice the wave-plate fast-axis angle, so a plate scanned over [0, 90]
+    covers the full [0, 180] analyzer range.
     """
 
     theta_prep: float
     hwp_angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_prep", _number("theta_prep", self.theta_prep))
+        theta_prep = canonical_degrees(_number("theta_prep", self.theta_prep))
+        object.__setattr__(self, "theta_prep", theta_prep)
         object.__setattr__(self, "hwp_angle", _number("hwp_angle", self.hwp_angle, 0.0, 90.0))
 
     @property
@@ -228,10 +232,7 @@ class SEstimate(_Estimate):
 def _setting_seed(seed: int, setting: Setting) -> np.random.SeedSequence:
     # Keyed on the physical setting (canonical angles, micro-degree
     # quantized) so records are reproducible regardless of scan order.
-    key = (
-        int(round(canonical_degrees(setting.theta_prep) * 1e6)),
-        int(round(setting.hwp_angle * 1e6)),
-    )
+    key = (int(round(setting.theta_prep * 1e6)), int(round(setting.hwp_angle * 1e6)))
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
@@ -340,7 +341,7 @@ def estimate_joint(
     window as ``subtract_window`` to remove the singles cross-rate
     estimate from every channel first.
     """
-    if canonical_degrees(reference.setting.theta_prep) != 0.0:
+    if reference.setting.theta_prep != 0.0:
         raise ValueError("reference record must be taken at theta_prep = 0")
     if abs(reference.setting.hwp_angle - record.setting.hwp_angle) > 1e-9:
         raise ValueError("reference must share the record's analyzer setting")

@@ -99,17 +99,25 @@ class SLandscape:
 
     ``axes`` holds the node angles per dimension (length-1 for a fixed
     angle), each node once; ``values`` is flat, row-major over
-    (theta_a, theta_b, theta_c).
+    (theta_a, theta_b, theta_c).  All four are 1-D numpy arrays of integer
+    or float dtype, the numbers export_surface writes and parse_surface reads.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(array.ndim != 1 for array in (*self.axes, self.values)):
-            raise ValueError("landscape axes and values must be 1-D arrays")
+        # A dtype check per array, so grid_scan pays nothing per node.
+        arrays = (*self.axes, self.values) if isinstance(self.axes, tuple | list) else ()
+        if len(arrays) != 4 or not all(
+            isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iuf"
+            for array in arrays
+        ):
+            raise ValueError(
+                "landscape axes must be three 1-D arrays and values one, of integer or float dtype"
+            )
         expected = 1
-        for name, axis in zip(AXIS_NAMES, self.axes, strict=True):
+        for name, axis in zip(AXIS_NAMES, self.axes):
             if axis.size == 0 or not np.all(np.isfinite(axis)):
                 raise ValueError("landscape axes must be non-empty and finite")
             # A node listed twice would carry two values.
@@ -136,9 +144,13 @@ class Optimum:
     """
 
     s_min: float
-    argmin: AngleTriple
     evaluations: int
     candidates: tuple[AngleTriple, ...]
+
+    @property
+    def argmin(self) -> AngleTriple:
+        """The first candidate, the refined point with the lowest value."""
+        return self.candidates[0]
 
 
 def _s(theta_a, theta_b, theta_c, xp=math):
@@ -266,12 +278,7 @@ def minimize_s(
         if not any(_same_minimum(triple, kept) for kept in candidates):
             candidates.append(triple)
 
-    return Optimum(
-        s_min=s_min,
-        argmin=candidates[0],
-        evaluations=evaluations,
-        candidates=tuple(candidates),
-    )
+    return Optimum(s_min=s_min, evaluations=evaluations, candidates=tuple(candidates))
 
 
 def _fmt(x: float) -> str:

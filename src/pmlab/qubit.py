@@ -67,16 +67,6 @@ def canonical_degrees(value: float) -> float:
     return 0.0 if rem >= 180.0 else rem
 
 
-@dataclass(frozen=True)
-class Angle:
-    """Polarizer orientation in degrees, stored canonically in [0, 180)."""
-
-    degrees: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", canonical_degrees(_number("orientation", self.degrees)))
-
-
 class Outcome(IntEnum):
     """Eigenvalue of a dichotomic polarization property."""
 
@@ -88,31 +78,33 @@ class Outcome(IntEnum):
 class PropertySetting:
     """Dichotomic observable whose +1 eigenstate lies along ``orientation``.
 
-    The -1 eigenstate lies along the orthogonal direction, 90 degrees away;
-    both are built once, with the setting, and held for :func:`eigenstate`.
+    ``orientation`` is a polarizer angle in degrees, stored canonically in
+    [0, 180).  The -1 eigenstate lies along the orthogonal direction, 90
+    degrees away; both are built once, with the setting, and held for
+    :func:`eigenstate`.
     """
 
-    orientation: Angle
+    orientation: float
     _eigenstates: tuple[PureState, PureState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.orientation, Angle):
-            raise ValueError(f"orientation must be an Angle, got {self.orientation!r}")
-        theta = math.radians(self.orientation.degrees)
+        degrees = canonical_degrees(_number("orientation", self.orientation))
+        object.__setattr__(self, "orientation", degrees)
+        theta = math.radians(degrees)
         plus = PureState(math.cos(theta), math.sin(theta))
         minus = PureState(math.sin(theta), -math.cos(theta))
         object.__setattr__(self, "_eigenstates", (plus, minus))
 
     @classmethod
     def at(cls, degrees: float) -> "PropertySetting":
-        """The shared setting at ``degrees``, checked and made canonical as by Angle."""
+        """The shared setting at ``degrees``, checked and made canonical as by the constructor."""
         return _property_at(canonical_degrees(_number("orientation", degrees)))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _property_at(degrees: float) -> PropertySetting:
     # Keyed on a checked, canonical orientation; frozen, so safe to share.
-    return PropertySetting(Angle(degrees))
+    return PropertySetting(degrees)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,8 @@ class TestGridScan:
                 axes=(np.array([0.0]), np.array([0.0]), np.array([0.0])),
                 values=np.array([np.inf]),
             )
+        with pytest.raises(ValueError, match="three 1-D arrays"):
+            SLandscape(axes=(np.array([0.0]), np.array([0.0])), values=np.array([0.0]))
 
 
 def angles_close_mod_180(found, target, tol):
@@ -357,7 +359,54 @@ def csv_documents(draw):
     return layout, "\n".join(lines) + "\n"
 
 
+#: Half a unit in the sixth decimal, plus the float nearest the written decimal.
+CSV_ATOL = 5e-7 + 1e-9
+
+
+def numbers_of(dtype):
+    if np.issubdtype(dtype, np.integer):
+        return st.integers(-(10**6), 10**6)
+    return st.floats(-1e6, 1e6, width=np.finfo(dtype).bits)
+
+
+@st.composite
+def landscapes(draw):
+    """An SLandscape built directly: 1 to 3 free axes, int or float, either direction."""
+    dtypes = st.sampled_from([np.int32, np.int64, np.float32, np.float64])
+    axis_dtype, values_dtype = draw(dtypes), draw(dtypes)
+    free = draw(st.sets(st.sampled_from(range(3)), min_size=1))
+    axes = []
+    for i in range(3):
+        low, high = (2, 4) if i in free else (1, 1)
+        # Distinct once written, so the CSV lists each node once.
+        nodes = draw(
+            st.lists(numbers_of(axis_dtype), min_size=low, max_size=high, unique_by=landscape._fmt)
+        )
+        axes.append(np.array(sorted(nodes, reverse=draw(st.booleans())), dtype=axis_dtype))
+    size = math.prod(axis.size for axis in axes)
+    values = draw(st.lists(numbers_of(values_dtype), min_size=size, max_size=size))
+    return SLandscape(tuple(axes), np.array(values, dtype=values_dtype))
+
+
 class TestParse:
+    @settings(max_examples=200, deadline=None)
+    @given(land=landscapes())
+    def test_every_landscape_round_trips(self, land):
+        parsed = parse_surface(export_surface(land, "json"), "json")
+        for array, original in zip((*parsed.axes, parsed.values), (*land.axes, land.values)):
+            assert same_bits(array, original)
+        document = export_surface(land, "csv")
+        parsed = parse_surface(document, "csv")
+        free = [i for i, axis in enumerate(land.axes) if axis.size > 1]
+        for i, (axis, original) in enumerate(zip(parsed.axes, land.axes)):
+            if len(free) == 3 or i in free:
+                assert np.allclose(axis, original, rtol=0, atol=CSV_ATOL)
+            else:
+                # The 1-D and matrix layouts do not record the fixed angles.
+                assert axis.tolist() == [0.0]
+        assert np.allclose(parsed.values, land.values, rtol=0, atol=CSV_ATOL)
+        assert export_surface(parsed, "csv") == document
+
     def test_long_layout_keeps_descending_axes(self):
         # Sorting the axes would put the value of node (10, 5, 3) on (0, 1, 2).
         axes = (np.array([10.0, 0.0]), np.array([5.0, 1.0]), np.array([3.0, 2.0]))

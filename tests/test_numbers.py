@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import pmlab
 from pmlab import (
     ALL_STATES,
-    Angle,
     AngleTriple,
     ClassicalEnsemble,
     ConfigError,
@@ -60,8 +59,8 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
         pytest.param(lambda: ScanGrid(0, "180", 6), id="ScanGrid-str-stop"),
         pytest.param(lambda: ScanGrid(0, 180, True), id="ScanGrid-bool-step"),
         pytest.param(lambda: grid_scan(GRID, GRID, "90"), id="grid_scan-str-fixed-axis"),
-        pytest.param(lambda: Angle(True), id="Angle-bool"),
-        pytest.param(lambda: Angle("1"), id="Angle-str"),
+        pytest.param(lambda: PropertySetting(True), id="PropertySetting-bool"),
+        pytest.param(lambda: PropertySetting("1"), id="PropertySetting-str"),
         pytest.param(lambda: PropertySetting.at("1"), id="PropertySetting.at-str"),
         pytest.param(lambda: PureState(math.nan, 0.0), id="PureState-nan"),
         pytest.param(lambda: PureState("1", 0.0), id="PureState-str"),
@@ -155,6 +154,20 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             lambda: grid_scan(0.0, 0.0, ScanGrid(1e16, 1e16 + 4, 1)),
             id="grid_scan-nodes-round-together",
         ),
+        # An SLandscape holds numpy arrays of the numbers both documents hold.
+        pytest.param(lambda: SLandscape(([0.0], [0.0], [0.0]), np.ones(1)), id="SLandscape-lists"),
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.array([True])), np.ones(1)),
+            id="SLandscape-bool-axis",
+        ),
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.arange(2.0)), np.array([True, False])),
+            id="SLandscape-bool-values",
+        ),
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.array(["0"])), np.ones(1)),
+            id="SLandscape-str-axis",
+        ),
         pytest.param(lambda: parse_surface("[" * 100_000, "json"), id="parse_surface-json-deep"),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
@@ -188,7 +201,10 @@ def test_hole_is_a_value_error(call):
 # above cannot tell from another ValueError.
 @pytest.mark.parametrize(
     "document",
-    [pytest.param('{"rng_seed": 1' + "0" * 5000 + "}", id="from_json-over-long-int")],
+    [
+        pytest.param('{"rng_seed": 1' + "0" * 5000 + "}", id="from_json-over-long-int"),
+        pytest.param(None, id="from_json-None"),
+    ],
 )
 def test_config_document_hole_is_a_config_error(document):
     with pytest.raises(ConfigError):
@@ -228,7 +244,6 @@ FIELDS = st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)])
 # Each public name that takes numbers, with strategies for its arguments;
 # any argument that is not a number is a fixed valid object.
 NUMERIC = {
-    "Angle": (Angle, [SCALARS]),
     "AngleTriple": (AngleTriple, [numbers_or(10.0)] * 3),
     "ClassicalEnsemble": (
         lambda a, b: ClassicalEnsemble({ALL_STATES[0]: a, ALL_STATES[5]: b}),
@@ -252,6 +267,7 @@ NUMERIC = {
     ),
     "JointTriple": (JointTriple, [numbers_or(0.3)] * 3),
     "Outcome": (Outcome, [SCALARS]),
+    "PropertySetting": (PropertySetting, [SCALARS]),
     "PropertySetting.at": (PropertySetting.at, [SCALARS]),
     "PureState": (PureState, [numbers_or(1.0), numbers_or(0.0)]),
     "ScanGrid": (ScanGrid, [numbers_or(0.0), numbers_or(180.0), numbers_or(90.0)]),
@@ -281,7 +297,6 @@ NUMERIC = {
 # Public names that take no number argument: constants, exceptions, enums
 # and records of other objects, functions of states, ensembles, settings,
 # landscapes or documents, and result containers the library builds.
-# PropertySetting itself takes an Angle; PropertySetting.at is above.
 # canonical_degrees is the unchecked arithmetic behind every angle check.
 NOT_NUMERIC = {
     "ALL_STATES", "ConfigError", "FullScanResult", "GeneralizedState", "H",

@@ -18,7 +18,6 @@ from pmlab import qubit
 from pmlab.qubit import (
     H,
     V,
-    Angle,
     Outcome,
     PropertySetting,
     PureState,
@@ -82,12 +81,12 @@ class TestCanonicalDegrees:
 
 class TestTypes:
     def test_angle_canonicalizes(self):
-        assert Angle(190.0).degrees == 10.0
-        assert Angle(-10.0).degrees == 170.0
+        assert PropertySetting(190.0).orientation == 10.0
+        assert PropertySetting(-10.0).orientation == 170.0
 
     def test_angle_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Angle(math.inf)
+        with pytest.raises(ValueError, match="orientation must be finite"):
+            PropertySetting(math.inf)
 
     def test_outcome_has_exactly_two_values(self):
         assert {o.value for o in Outcome} == {1, -1}
@@ -104,7 +103,7 @@ class TestTypes:
         PureState(0.6, 0.8j)
 
     def test_property_setting_orientation_is_canonical(self):
-        assert PropertySetting.at(200.0).orientation.degrees == 20.0
+        assert PropertySetting.at(200.0).orientation == 20.0
 
     def test_property_settings_and_eigenstates_are_shared(self):
         prop = PropertySetting.at(20.0)
@@ -113,15 +112,16 @@ class TestTypes:
         assert 0 < qubit._property_at.cache_info().maxsize < 10**5
 
     def test_eigenstates_are_built_with_the_setting(self):
-        prop = PropertySetting(Angle(200.0))
+        prop = PropertySetting(200.0)
         assert eigenstate(prop, Outcome.PLUS) is eigenstate(prop, 1)
         assert eigenstate(prop, Outcome.MINUS) == eigenstate(PropertySetting.at(20.0), -1)
-        assert repr(prop) == "PropertySetting(orientation=Angle(degrees=20.0))"
+        assert prop == PropertySetting.at(20.0) and prop is not PropertySetting.at(20.0)
+        assert repr(prop) == "PropertySetting(orientation=20.0)"
 
-    @pytest.mark.parametrize("bad", [5.0, 20, "20", None, Outcome.PLUS])
-    def test_orientation_must_be_an_angle(self, bad):
-        with pytest.raises(ValueError, match="orientation must be an Angle"):
-            PropertySetting(bad)
+    @pytest.mark.parametrize("degrees", [5.0, 20, np.float64(200.0), -160.0])
+    def test_constructor_takes_degrees_as_a_float(self, degrees):
+        prop = PropertySetting(degrees)
+        assert type(prop.orientation) is float and prop == PropertySetting.at(degrees)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "20", True, None, [20.0]])
     def test_bad_orientation_raises_before_the_cache(self, bad):
