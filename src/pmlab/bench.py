@@ -11,9 +11,11 @@ rates and orders of magnitude faster.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -229,11 +231,43 @@ class SEstimate(_Estimate):
         return abs(self.value) / self.std_error
 
 
-def _setting_seed(seed: int, setting: Setting) -> np.random.SeedSequence:
-    # Keyed on the physical setting (canonical angles, micro-degree
-    # quantized) so records are reproducible regardless of scan order.
-    key = (int(round(setting.theta_prep * 1e6)), int(round(setting.hwp_angle * 1e6)))
-    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+@functools.lru_cache(maxsize=16)
+def _philox_key(seed: int) -> tuple[int, int]:
+    # A tuple, so the cached key cannot be changed through a caller.
+    return tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
+
+
+class _Stream(threading.local):
+    """One Philox generator per thread, re-keyed for every setting.
+
+    A setting's stream is Philox4x64 under the config's key with the
+    counter (0, 0, preparation, plate), both angles canonical and
+    micro-degree quantized, and an empty buffer.  Drawing advances only
+    the low counter word, so distinct settings run on disjoint counter
+    ranges and a record depends on neither scan order nor thread.
+    """
+
+    def __init__(self) -> None:
+        self.counter = [0, 0, 0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self.counter, "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.rng = np.random.Generator(np.random.Philox(key=0))
+
+    def keyed(self, seed: int, setting: Setting) -> np.random.Generator:
+        self.counter[2] = round(setting.theta_prep * 1e6)
+        self.counter[3] = round(setting.hwp_angle * 1e6)
+        self.state["state"]["key"] = _philox_key(seed)
+        self.rng.bit_generator.state = self.state
+        return self.rng
+
+
+_STREAM = _Stream()
 
 
 def _transmit(
@@ -265,7 +299,7 @@ def simulate_setting(cfg: ExperimentConfig, setting: Setting) -> CountRecord:
     coincidence window.  Identical (config, setting) pairs yield
     bit-identical records.
     """
-    rng = np.random.default_rng(_setting_seed(cfg.rng_seed, setting))
+    rng = _STREAM.keyed(cfg.rng_seed, setting)
     duration = cfg.integration_time
 
     prep = (PropertySetting.at(setting.theta_prep), Outcome.PLUS)

@@ -322,13 +322,21 @@ def export_surface(land: SLandscape, format: str = "csv") -> str:
     for a single free axis, a matrix with row and column angle labels for
     two, and long (a, b, c, S) rows otherwise.
     JSON carries the axes and the flat row-major values at full precision.
+    Distinct nodes that parse_surface would read back as one (CSV nodes
+    equal to 6 decimals, or JSON integers past 2**53 that round to one
+    float) raise ValueError naming their axis.
     """
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown export format: {format!r}")
+    axes = [axis.tolist() for axis in land.axes]
+    for name, axis in zip(AXIS_NAMES, axes):
+        # The nodes parse_surface reads: CSV cells, JSON integers as floats.
+        cells = map(_fmt, axis) if format == "csv" else axis
+        if len(set(map(float, cells))) < len(axis):
+            raise ValueError(f"surface axis {name} has nodes that are equal once written")
     if format == "csv":
         return _to_csv(land)
-    if format == "json":
-        axes = [axis.tolist() for axis in land.axes]
-        return json.dumps({"axes": axes, "values": land.values.tolist()}) + "\n"
-    raise ValueError(f"unknown export format: {format!r}")
+    return json.dumps({"axes": axes, "values": land.values.tolist()}) + "\n"
 
 
 def parse_surface(document: str, format: str = "csv") -> SLandscape:

@@ -8,6 +8,8 @@ import collections
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -134,6 +136,61 @@ class TestSimulateSetting:
         r1 = simulate_setting(ExperimentConfig(rng_seed=1), setting)
         r2 = simulate_setting(ExperimentConfig(rng_seed=2), setting)
         assert (r1.coinc_13, r1.coinc_23) != (r2.coinc_13, r2.coinc_23)
+
+    def test_stream_is_philox_keyed_by_seed_and_setting(self):
+        # Without loss or darks the trigger singles are the heralded pairs,
+        # the first draw of the setting's stream: Philox4x64 keyed by the
+        # seed, counter (0, 0, micro-degree preparation, micro-degree plate).
+        cfg = ExperimentConfig.ideal(5e4, rng_seed=7)
+        record = simulate_setting(cfg, Setting(theta_prep=200.25, hwp_angle=33.5))
+        key = np.random.SeedSequence(7).generate_state(2, np.uint64)
+        counter = [0, 0, 20_250_000, 33_500_000]
+        rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        assert record.singles_d3 == rng.poisson(5e4)
+
+    def test_seed_past_64_bits(self):
+        cfg = ExperimentConfig(rng_seed=2**200 + 1)
+        setting = Setting.for_angles(20.0, 50.0)
+        record = simulate_setting(cfg, setting)
+        assert record == simulate_setting(cfg, setting)
+        assert record != simulate_setting(ExperimentConfig(rng_seed=1), setting)
+
+    def test_independent_of_order_and_thread(self):
+        # Setting A's record is the same alone, interleaved with another
+        # setting and config, and from two threads switching mid-draw.
+        cfg, other = ExperimentConfig(rng_seed=5), ExperimentConfig(rng_seed=6)
+        a, b = Setting.for_angles(20.0, 50.0), Setting.for_angles(70.0, 110.0)
+        alone = simulate_setting(cfg, a)
+
+        def interleaved(rounds):
+            records = []
+            for _ in range(rounds):
+                records.append(simulate_setting(cfg, a))
+                simulate_setting(other, b)
+                records.append(simulate_setting(cfg, a))
+            return records
+
+        records = interleaved(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(2)
+            results = [None, None]
+
+            def run(i):
+                barrier.wait()
+                results[i] = interleaved(200)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        records += results[0] + results[1]
+        assert len(records) == 802
+        assert all(record == alone for record in records)
 
     def test_preparation_angle_is_periodic(self):
         # 190 degrees is the same polarizer orientation as 10 degrees.
@@ -361,22 +418,22 @@ class TestEstimateS:
         "triple,expected",
         [
             # theta_a = 180 prepares at 0 degrees: that record is its own reference.
-            ((180.0, 0.0, 77.5), ("0.0", "0.014342345774865787")),
-            ((157.0, 123.5, 77.5), ("-0.39866308122698857", "0.01046894483568149")),
+            ((180.0, 0.0, 77.5), ("0.0", "0.014325719868876886")),
+            ((157.0, 123.5, 77.5), ("-0.40002501455955775", "0.01041942606154894")),
         ],
     )
     def test_estimate_pinned(self, triple, expected):
-        # Recorded before joints were memoized; depends on numpy's RNG streams.
+        # Recorded with the re-keyed Philox stream; depends on numpy's samplers.
         est = estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(*triple))
         assert (repr(est.value), repr(est.std_error)) == expected
 
     def test_hole_raises_the_failing_joints_error(self):
-        # Recorded before failing joints were cached.  A preparation at 90
+        # Recorded with the re-keyed Philox stream.  A preparation at 90
         # degrees passes nothing, so the first joint, (90, 30), is empty.
         with pytest.raises(InsufficientStatisticsError) as caught:
             estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(90, 30, 60))
         assert str(caught.value) == (
-            "no coincidences to estimate from (record 0.0, reference 18038.0)"
+            "no coincidences to estimate from (record 0.0, reference 17777.0)"
         )
 
     def test_matches_full_scan_nodes_bit_for_bit(self):
@@ -549,11 +606,11 @@ class TestSerialization:
         assert row[2] == "nan" and row[3] == "nan"
 
     def test_full_scan_csv_bytes_pinned(self):
-        # sha256 recorded before the CSV writers were merged into one.
+        # sha256 recorded with the re-keyed Philox stream.
         result = run_full_scan(ExperimentConfig(rng_seed=3))
         assert hashlib.sha256(full_scan_surface_csv(result).encode()).hexdigest() == (
-            "cf7cc3e0920bda34803ff227f4d4d4fc9b9c1ced7ec5a33e24e4d95c5a806779"
+            "79bf50f47d6f6db0f24ee831145c9db47751d7fa6d82f6bdb68aef9138437e19"
         )
         assert hashlib.sha256(full_scan_profile_csv(result).encode()).hexdigest() == (
-            "264840ed8f7d1c83337cbc576fceb2d86f8c5169d60a82b8a34416e21416c9ae"
+            "8c1eff4feddb5dfbaff13ed94286f196897baada17b903cad04aad1a741d7407"
         )

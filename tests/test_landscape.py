@@ -407,6 +407,27 @@ class TestParse:
         assert np.allclose(parsed.values, land.values, rtol=0, atol=CSV_ATOL)
         assert export_surface(parsed, "csv") == document
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        free=st.sampled_from(range(3)),
+        nodes=st.one_of(
+            st.lists(st.floats(-3e-6, 3e-6), min_size=2, max_size=4, unique=True),
+            st.lists(st.integers(2**53 - 3, 2**53 + 3), min_size=2, max_size=4, unique=True),
+        ),
+        format=st.sampled_from(["csv", "json"]),
+    )
+    def test_export_writes_only_documents_parse_reads(self, free, nodes, format):
+        # Nodes that may meet once written: 6 decimals, or floats past 2**53.
+        axes = [np.zeros(1)] * 3
+        axes[free] = np.array(nodes)
+        land = SLandscape(tuple(axes), np.ones(len(nodes)))
+        try:
+            document = export_surface(land, format)
+        except ValueError as error:
+            assert AXIS_NAMES[free] in str(error)
+        else:
+            assert parse_surface(document, format).values.size == len(nodes)
+
     def test_long_layout_keeps_descending_axes(self):
         # Sorting the axes would put the value of node (10, 5, 3) on (0, 1, 2).
         axes = (np.array([10.0, 0.0]), np.array([5.0, 1.0]), np.array([3.0, 2.0]))

@@ -35,6 +35,7 @@ from pmlab import (
     classical_bound_holds,
     eigenstate,
     estimate_joint,
+    export_surface,
     fit_classical,
     grid_scan,
     minimize_s,
@@ -153,6 +154,20 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
         pytest.param(
             lambda: grid_scan(0.0, 0.0, ScanGrid(1e16, 1e16 + 4, 1)),
             id="grid_scan-nodes-round-together",
+        ),
+        # Distinct nodes that parse_surface would read back as one node.
+        pytest.param(
+            lambda: export_surface(
+                SLandscape((np.zeros(1), np.zeros(1), np.array([0.0, 1e-7])), np.ones(2)), "csv"
+            ),
+            id="export_surface-csv-nodes-equal-at-6-decimals",
+        ),
+        pytest.param(
+            lambda: export_surface(
+                SLandscape((np.zeros(1), np.zeros(1), np.array([2**53, 2**53 + 1])), np.ones(2)),
+                "json",
+            ),
+            id="export_surface-json-ints-equal-as-floats",
         ),
         # An SLandscape holds numpy arrays of the numbers both documents hold.
         pytest.param(lambda: SLandscape(([0.0], [0.0], [0.0]), np.ones(1)), id="SLandscape-lists"),
