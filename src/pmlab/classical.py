@@ -4,8 +4,10 @@ A classical system carries definite outcomes for all three dichotomic
 properties at once; an ensemble is a probability weighting over the eight
 possible assignments.  This module evaluates pairwise joint probabilities
 for such ensembles, checks the bound they must obey, verifies the bound by
-vertex enumeration, and decides by linear programming whether a given
-probability triple is reachable classically at all.
+vertex enumeration, and decides whether a given probability triple is
+reachable classically at all.  The decision is the triple's closed-form
+distance from the polytope the eight assignments span; a linear program
+runs only to build an ensemble for a triple within tolerance.
 """
 from __future__ import annotations
 
@@ -131,6 +133,12 @@ class JointTriple:
             object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, 1.0))
 
 
+def _triple(t: JointTriple) -> JointTriple:
+    if not isinstance(t, JointTriple):
+        raise ValueError(f"t must be a JointTriple, got {t!r}")
+    return t
+
+
 _SIMPLEX_ALPHA = np.ones(len(ALL_STATES))
 
 
@@ -195,7 +203,9 @@ def classical_bound_holds(t: JointTriple, epsilon: float = BOUND_EPSILON) -> boo
     Every classical ensemble satisfies this; a violation is a quantum
     signature.
     """
-    return t.p_ac <= t.p_ab + t.p_bc + _number("epsilon", epsilon, 0.0)
+    epsilon = _number("epsilon", epsilon, 0.0)
+    t = _triple(t)
+    return t.p_ac <= t.p_ab + t.p_bc + epsilon
 
 
 def enumerate_vertices() -> list[tuple[GeneralizedState, float]]:
@@ -225,15 +235,24 @@ _LP_A_EQ = np.array([[1.0] * len(ALL_STATES) + [0.0]])
 def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> ClassicalEnsemble | None:
     """Find an ensemble reproducing the triple, or None if none exists.
 
-    Minimizes the worst-case deviation over the three joints by linear
-    programming over the eight weights.  The LP is fixed at import; only
-    its target, the triple, changes per call.  Returns an ensemble only
-    when the optimal deviation is within ``tolerance`` (loose enough to
-    absorb counting noise on estimated inputs); re-evaluating the triple
-    from the returned ensemble reproduces the input to that accuracy.
-    ``tolerance`` must be a finite non-negative number, else ValueError.
+    The eight assignments span the polytope {p >= 0, p_ac <= p_ab + p_bc,
+    p_ab + p_bc <= 1} (Fine, PRL 48, 291, 1982), so the smallest
+    worst-case deviation any ensemble reaches over the three joints is the
+    closed-form L-infinity distance
+    ``d(t) = max(0, (p_ac - p_ab - p_bc)/3, (p_ab + p_bc - 1)/2)``.
+    The verdict is ``d(t) <= tolerance`` (loose enough to absorb counting
+    noise on estimated inputs); a triple farther out returns None at once.
+    For a triple within tolerance, a linear program over the eight weights,
+    fixed at import with only its target changing per call, builds the
+    ensemble; re-evaluating the triple from it reproduces the input to
+    ``tolerance`` or to the solver's 1e-7 feasibility tolerance, whichever
+    is larger.  ``tolerance`` must be a finite non-negative number and
+    ``t`` a JointTriple, else ValueError.
     """
     tolerance = _number("tolerance", tolerance, 0.0)
+    t = _triple(t)
+    if max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0) > tolerance:
+        return None
     target = np.array([t.p_ab, t.p_bc, t.p_ac])
     result = linprog(
         _LP_COST,

@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from pmlab.classical import (
+    _LP_A_EQ,
+    _LP_A_UB,
+    _LP_COST,
     ALL_STATES,
     FIT_TOLERANCE,
     PAIR_AB,
@@ -67,7 +71,11 @@ def oracle_vertex_witness(alpha: int, beta: int, gamma: int) -> int:
 
 
 def closed_form_distance(t: JointTriple) -> float:
-    """L-infinity distance of a triple in [0, 1]^3 from the classical polytope."""
+    """L-infinity distance of a triple in [0, 1]^3 from the classical polytope.
+
+    The hull of the eight assignments is {p >= 0, p_ac <= p_ab + p_bc,
+    p_ab + p_bc <= 1} (Fine, PRL 48, 291, 1982).
+    """
     return max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0)
 
 
@@ -89,6 +97,22 @@ def facet_triples(draw):
     # p_ab + p_bc - 1 = 2 distance; then any p_ac is inside the other facet.
     p_ab = draw(st.floats(2.0 * distance, 1.0))
     return p_ab, 1.0 + 2.0 * distance - p_ab, draw(st.floats(0.0, 1.0))
+
+
+def triples_near_the_polytope(test):
+    """Run ``test(self, triple)`` over unit and facet triples.
+
+    Both facets at FIT_TOLERANCE - 1e-9 and + 1e-9 are examples on every run.
+    """
+    for triple in [
+        (0.2, 0.3, 0.5 + 3.0 * (FIT_TOLERANCE - 1e-9)),
+        (0.2, 0.3, 0.5 + 3.0 * (FIT_TOLERANCE + 1e-9)),
+        (0.6, 0.4 + 2.0 * (FIT_TOLERANCE - 1e-9), 0.5),
+        (0.6, 0.4 + 2.0 * (FIT_TOLERANCE + 1e-9), 0.5),
+    ]:
+        test = example(triple=triple)(test)
+    test = given(triple=st.one_of(unit_triples, facet_triples()))(test)
+    return settings(max_examples=400, deadline=None)(test)
 
 
 class TestGeneralizedState:
@@ -339,19 +363,44 @@ class TestFitClassical:
         assert fit_classical(JointTriple(p_ab=1.0, p_bc=0.0, p_ac=1.0), tolerance=0) is not None
         assert fit_classical(JointTriple(p_ab=0.9, p_bc=0.9, p_ac=0.9), tolerance=1) is not None
 
-    @settings(max_examples=400, deadline=None)
-    @given(triple=st.one_of(unit_triples, facet_triples()))
-    # Both facets at FIT_TOLERANCE - 1e-9 and + 1e-9, on every run.
-    @example(triple=(0.2, 0.3, 0.5 + 3.0 * (FIT_TOLERANCE - 1e-9)))
-    @example(triple=(0.2, 0.3, 0.5 + 3.0 * (FIT_TOLERANCE + 1e-9)))
-    @example(triple=(0.6, 0.4 + 2.0 * (FIT_TOLERANCE - 1e-9), 0.5))
-    @example(triple=(0.6, 0.4 + 2.0 * (FIT_TOLERANCE + 1e-9), 0.5))
+    @triples_near_the_polytope
     def test_verdict_is_the_closed_form_distance(self, triple):
-        # The hull of the eight assignments is {p >= 0, p_ac <= p_ab + p_bc,
-        # p_ab + p_bc <= 1} (Fine, PRL 48, 291, 1982), so the LP's optimal
-        # worst-case deviation on [0, 1]^3 is closed_form_distance.
         t = JointTriple(*triple)
         assert (fit_classical(t) is None) == (closed_form_distance(t) > FIT_TOLERANCE)
+
+    @triples_near_the_polytope
+    def test_lp_optimum_is_the_closed_form_distance(self, triple):
+        # fit_classical never runs the LP on a triple outside tolerance, so
+        # the verdict property alone would not see the LP drift from d(t).
+        t = np.array(triple)
+        result = linprog(
+            _LP_COST,
+            A_ub=_LP_A_UB,
+            b_ub=np.concatenate([t, -t]),
+            A_eq=_LP_A_EQ,
+            b_eq=[1.0],
+            method="highs",
+        )
+        assert result.success
+        distance = closed_form_distance(JointTriple(*triple))
+        # HiGHS takes a point within its primal feasibility tolerance, 1e-7,
+        # as feasible: (6e-8, 1, 0) lies 3e-8 outside and the LP reports 0.
+        assert abs(result.fun - distance) <= 1e-12 or (result.fun == 0.0 and distance <= 1e-7)
+
+    def test_infeasible_triples_never_reach_the_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr("pmlab.classical.linprog", no_lp)
+        triples = [JointTriple(*triple) for triple in FIT_PIN_TRIPLES]
+        infeasible = [t for t in triples if closed_form_distance(t) > FIT_TOLERANCE]
+        assert len(infeasible) == 26
+        quantum = JointTriple(p_ab=QUANTUM_P_AB, p_bc=QUANTUM_P_BC, p_ac=QUANTUM_P_AC)
+        for t in [*infeasible, quantum]:
+            assert fit_classical(t) is None
+        # A feasible triple still gets its ensemble from the LP.
+        with pytest.raises(AssertionError, match="linprog called"):
+            fit_classical(JointTriple(0.3, 0.2, 0.4))
 
     def test_weights_and_verdicts_pinned(self):
         digest = hashlib.sha256()

@@ -89,6 +89,9 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             lambda: SLandscape((np.zeros((1, 1)), np.zeros(1), np.zeros(1)), np.zeros(1)),
             id="SLandscape-2d-axis",
         ),
+        pytest.param(lambda: fit_classical((0.1, 0.2, 0.3)), id="fit_classical-tuple"),
+        pytest.param(lambda: fit_classical(None), id="fit_classical-None"),
+        pytest.param(lambda: classical_bound_holds((0.1, 0.2, 0.3)), id="bound-tuple"),
         pytest.param(lambda: classical_bound_holds(TRIPLE, math.nan), id="bound-nan-epsilon"),
         pytest.param(lambda: classical_bound_holds(TRIPLE, "0"), id="bound-str-epsilon"),
         pytest.param(
