@@ -25,10 +25,6 @@ AXIS_NAMES = ("theta_a", "theta_b", "theta_c")
 CSV_DECIMALS = 6
 _CSV_SPEC = f".{CSV_DECIMALS}f"
 _NEGATIVE_ZERO = f"-{0:{_CSV_SPEC}}"
-#: Refined points tying the minimum within this are reported as degenerate.
-DEGENERACY_ATOL = 1e-4
-#: Tying points with every angle this close on the circle are one minimum.
-_SAME_MINIMUM_DEGREES = 0.5
 #: Number of coarse-grid nodes used to start local refinement.
 DEFAULT_STARTS = 5
 #: Most nodes any one grid may hold; the 1-degree full cube has 181**3.
@@ -138,9 +134,10 @@ class SLandscape:
 class Optimum:
     """Result of the global minimization.
 
-    ``candidates`` lists every refined point whose value ties ``s_min``
-    within DEGENERACY_ATOL (the minimum is degenerate: reflecting all
-    three angles through 90 degrees leaves the landscape unchanged).
+    ``s_min`` is the witness at ``argmin``.  The minimum is degenerate:
+    reflecting all three angles through 90 degrees leaves the landscape
+    unchanged, so ``candidates`` lists ``argmin`` and then its mirror
+    image, unless the two are the same triple.
     """
 
     s_min: float
@@ -195,46 +192,23 @@ def grid_scan(
     return SLandscape(axes=axes, values=values.ravel(order="C"))
 
 
-#: The 26 moves to the 3x3x3 neighborhood of a point, in the order they are tried.
-_CUBE_MOVES = [move for move in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(move)]
+def _s_over_c(theta_a, theta_b, xp=math):
+    """The witness minimized over theta_c in closed form, as ``(value, w_x, w_y)``.
 
-
-def _cube_search(
-    start: tuple[float, float, float],
-    start_value: float,
-    initial_step: float,
-    tolerance: float,
-) -> tuple[tuple[float, float, float], float, int]:
-    """Derivative-free refinement by bisected cube moves.
-
-    At each scale, steps to the best of the 3x3x3 neighborhood while that
-    improves, then halves the step; stops once the step drops below
-    ``tolerance``.  Only strict improvements are accepted, so the result
-    can never be worse than the start.
+    For fixed (a, b) the witness is cos^2 a sin^2(b-a) + (cos^2 b - cos^2 a)/2
+    minus |w| cos(2c - arg w)/2, with w = cos^2 b e^{2ib} - cos^2 a e^{2ia},
+    so its minimum over c is at theta_c = arg(w)/2.  Floats through
+    ``math``, arrays through ``xp=np``, as in ``_s``.
     """
-    best = start
-    best_value = start_value
-    evaluations = 0
-    step = initial_step
-    while step >= tolerance:
-        moved = True
-        while moved:
-            moved = False
-            for da, db, dc in _CUBE_MOVES:
-                trial = (best[0] + da * step, best[1] + db * step, best[2] + dc * step)
-                value = _s(*trial)
-                evaluations += 1
-                if value < best_value:
-                    best, best_value = trial, value
-                    moved = True
-        step *= 0.5
-    return best, best_value, evaluations
+    a, b = xp.radians(theta_a), xp.radians(theta_b)
+    cos2_a, cos2_b = xp.cos(a) ** 2, xp.cos(b) ** 2
+    w_x = cos2_b * xp.cos(2 * b) - cos2_a * xp.cos(2 * a)
+    w_y = cos2_b * xp.sin(2 * b) - cos2_a * xp.sin(2 * a)
+    return cos2_a * xp.sin(b - a) ** 2 + (cos2_b - cos2_a - xp.hypot(w_x, w_y)) / 2, w_x, w_y
 
 
-def _same_minimum(t: AngleTriple, u: AngleTriple) -> bool:
-    # Canonical angles, so distances on the circle: 179.97 and 0.01 lie 0.04 apart.
-    gaps = (abs(x - y) for x, y in zip(t.as_tuple(), u.as_tuple()))
-    return all(min(gap, 180.0 - gap) <= _SAME_MINIMUM_DEGREES for gap in gaps)
+#: The 8 moves to the 3x3 neighborhood of an (a, b) point, in the order they are tried.
+_MOVES = [move for move in itertools.product((-1.0, 0.0, 1.0), repeat=2) if any(move)]
 
 
 def minimize_s(
@@ -242,43 +216,56 @@ def minimize_s(
     tolerance: float = 0.01,
     starts: int = DEFAULT_STARTS,
 ) -> Optimum:
-    """Global minimum of the witness by multistart refinement.
+    """Global minimum of the witness by multistart refinement over (theta_a, theta_b).
 
-    Scans the seed grid over all three axes, then runs a local cube search
-    from the ``starts`` best nodes (ties broken by lowest row-major index)
-    down to the angular ``tolerance`` in degrees.  The refined minimum is
-    never above the best coarse node.
+    theta_c is eliminated in closed form (``_s_over_c``).  Evaluates the
+    seed grid over theta_a and theta_b, then from the ``starts`` best nodes
+    (ties broken by lowest row-major index) steps to the best of the 8
+    neighbours while that improves, halving the step from the grid's down
+    to the angular ``tolerance`` in degrees.  The refined minimum is never
+    above the best seed node, so never above any node of the seed cube.
+    Raises ValueError for a ``seed_grid`` that is not a ScanGrid, or whose
+    square exceeds the node cap.
     """
+    if not isinstance(seed_grid, ScanGrid | None):
+        raise ValueError(f"seed_grid must be a ScanGrid, got {type(seed_grid).__name__}")
     tolerance = _number("tolerance", tolerance, 0.0, strict=True)
     starts = _number("starts", starts, 1, integer=True)
     if seed_grid is None:
         seed_grid = ScanGrid.full_range()
+    _check_grid_size(seed_grid.size**2)
 
-    land = grid_scan(seed_grid, seed_grid, seed_grid)
-    evaluations = land.values.size
-    order = np.argsort(land.values, kind="stable")[:starts]
+    nodes = seed_grid.nodes()
+    seeds = _s_over_c(nodes[:, None], nodes[None, :], np)[0].ravel()
+    evaluations = seeds.size
+    refined = []
+    for flat_index in np.argsort(seeds, kind="stable")[:starts]:
+        ia, ib = divmod(int(flat_index), nodes.size)
+        best = (float(nodes[ia]), float(nodes[ib]))
+        best_value = float(seeds[flat_index])
+        step = seed_grid.step
+        while step >= tolerance:
+            moved = True
+            while moved:
+                moved = False
+                for da, db in _MOVES:
+                    trial = (best[0] + da * step, best[1] + db * step)
+                    value = _s_over_c(*trial)[0]
+                    evaluations += 1
+                    # Only strict improvements, so refinement never ends above its seed.
+                    if value < best_value:
+                        best, best_value = trial, value
+                        moved = True
+            step *= 0.5
+        refined.append((best_value, best))
 
-    refined: list[tuple[float, tuple[float, float, float]]] = []
-    for flat_index in order:
-        ia, ib, ic = np.unravel_index(int(flat_index), land.shape)
-        node = (float(land.axes[0][ia]), float(land.axes[1][ib]), float(land.axes[2][ic]))
-        start_value = float(land.values[flat_index])
-        point, value, used = _cube_search(node, start_value, seed_grid.step, tolerance)
-        evaluations += used
-        refined.append((value, point))
-
-    refined.sort()
-    s_min = refined[0][0]
-
-    candidates: list[AngleTriple] = []
-    for value, point in refined:
-        if value > s_min + DEGENERACY_ATOL:
-            continue
-        triple = AngleTriple(*point)
-        if not any(_same_minimum(triple, kept) for kept in candidates):
-            candidates.append(triple)
-
-    return Optimum(s_min=s_min, evaluations=evaluations, candidates=tuple(candidates))
+    a, b = min(refined)[1]
+    _, w_x, w_y = _s_over_c(a, b)
+    argmin = AngleTriple(a, b, math.degrees(math.atan2(w_y, w_x)) / 2)
+    # Reflecting every angle through 90 degrees leaves the witness unchanged.
+    mirror = AngleTriple(*(180.0 - angle for angle in argmin.as_tuple()))
+    candidates = (argmin,) if mirror == argmin else (argmin, mirror)
+    return Optimum(s_min=s_quantum(argmin), evaluations=evaluations, candidates=candidates)
 
 
 def _fmt(x: float) -> str:

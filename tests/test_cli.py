@@ -104,28 +104,28 @@ class TestOptimize:
         assert s90 == pytest.approx(s6, abs=1e-3)
 
     # The two mirror minima tie to about 1e-11, so which one is listed first
-    # and how many trials the cube search takes follow the kernel's last bits.
+    # and how many trials the (theta_a, theta_b) search takes follow the last bits.
     @pytest.mark.parametrize(
         "step, expected",
         [
             pytest.param(
                 "6",
                 "s_min = -0.403431\n"
-                "evaluations = 32781\n"
-                "argmin: theta_a = 157.0195, theta_b = 123.5039, theta_c = 77.5430\n"
+                "evaluations = 1737\n"
+                "argmin: theta_a = 157.0195, theta_b = 123.5039, theta_c = 77.5479\n"
                 "degenerate minima found: 2\n"
-                "  theta_a = 157.0195, theta_b = 123.5039, theta_c = 77.5430\n"
-                "  theta_a = 22.9805, theta_b = 56.4961, theta_c = 102.4570\n",
+                "  theta_a = 157.0195, theta_b = 123.5039, theta_c = 77.5479\n"
+                "  theta_a = 22.9805, theta_b = 56.4961, theta_c = 102.4521\n",
                 id="step-6",
             ),
             pytest.param(
                 "30",
                 "s_min = -0.403431\n"
-                "evaluations = 3099\n"
-                "argmin: theta_a = 157.0166, theta_b = 123.5010, theta_c = 77.5488\n"
+                "evaluations = 769\n"
+                "argmin: theta_a = 22.9834, theta_b = 56.4990, theta_c = 102.4562\n"
                 "degenerate minima found: 2\n"
-                "  theta_a = 157.0166, theta_b = 123.5010, theta_c = 77.5488\n"
-                "  theta_a = 22.9688, theta_b = 56.4844, theta_c = 102.4365\n",
+                "  theta_a = 22.9834, theta_b = 56.4990, theta_c = 102.4562\n"
+                "  theta_a = 157.0166, theta_b = 123.5010, theta_c = 77.5438\n",
                 id="step-30",
             ),
         ],

@@ -77,6 +77,7 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
         pytest.param(lambda: JointTriple("0.5", 0, 0), id="JointTriple-str"),
         pytest.param(lambda: minimize_s(GRID, tolerance=True), id="minimize_s-bool-tol"),
         pytest.param(lambda: minimize_s(GRID, tolerance="0.1"), id="minimize_s-str-tol"),
+        pytest.param(lambda: minimize_s(6.0), id="minimize_s-float-grid"),
         pytest.param(lambda: ClassicalEnsemble({ALL_STATES[0]: "1"}), id="ensemble-str"),
         pytest.param(lambda: ClassicalEnsemble({ALL_STATES[0]: True}), id="ensemble-bool"),
         pytest.param(lambda: ClassicalEnsemble.from_weights(["1"] + [0] * 7), id="weights-str"),
