@@ -1,13 +1,14 @@
 """Virtual counting bench for the heralded single-photon scheme.
 
 Simulates, setting by setting, the chain trigger-detector / polarizer /
-half-wave-plate / polarizing splitter with seeded Poisson and binomial
-draws, then turns the recorded singles and coincidences back into joint
+half-wave-plate / polarizing splitter with seeded Poisson draws, then
+turns the recorded singles and coincidences back into joint
 probabilities and a witness estimate with propagated counting errors.
 
-Counts are drawn in aggregate (one thinning chain per setting rather than
-one random number per photon), which is statistically identical at these
-rates and orders of magnitude faster.
+Counts are drawn in aggregate, not one random number per photon: every
+stage of the chain thins a Poisson stream of pairs, so each photon
+category a record needs is an independent Poisson count with a
+closed-form mean (the colouring theorem; Kingman, Poisson Processes, 1993).
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .qubit import (
     H,
     Outcome,
     PropertySetting,
+    _instance,
     _number,
     canonical_degrees,
     conditional_probability,
@@ -193,8 +195,7 @@ class CountRecord:
         for name in _COUNT_FIELDS:
             _number(name, getattr(self, name), 0, integer=True)
         _number("duration", self.duration, 0.0, strict=True)
-        if not isinstance(self.setting, Setting):
-            raise ValueError(f"setting must be a Setting, got {self.setting!r}")
+        _instance("setting", self.setting, Setting)
 
 
 @dataclass(frozen=True)
@@ -270,68 +271,58 @@ class _Stream(threading.local):
 _STREAM = _Stream()
 
 
-def _transmit(
-    rng: np.random.Generator,
-    n_photons: int,
-    p_pass: float,
-    p_to_d1: float,
-    eff_d1: float,
-    eff_d2: float,
-) -> tuple[int, int]:
-    """Thin a photon batch through polarizer, splitter and detectors."""
-    n_pass = int(rng.binomial(n_photons, p_pass))
-    n_d1 = int(rng.binomial(n_pass, p_to_d1))
-    n_d2 = n_pass - n_d1
-    det_d1 = int(rng.binomial(n_d1, eff_d1))
-    det_d2 = int(rng.binomial(n_d2, eff_d2))
-    return det_d1, det_d2
-
-
 def simulate_setting(cfg: ExperimentConfig, setting: Setting) -> CountRecord:
     """Simulate one acquisition setting of the virtual bench.
 
-    A Poisson number of heralded pairs arrives; each horizontal photon
-    passes the polarizer with the exact quantum marginal, is routed by the
-    analyzer with the exact conditional for the minus port, and survives
-    its detector efficiency.  Only photons whose trigger partner fired can
-    produce a true coincidence; dark counts land on every detector and
-    pair with trigger singles at the accidental cross-rate within the
-    coincidence window.  Identical (config, setting) pairs yield
-    bit-identical records.
+    Heralded pairs arrive as a Poisson stream of mean ``N``, the heralded
+    rate times the integration time.  Each horizontal photon passes the
+    polarizer with the exact quantum marginal ``p``, is routed to d1 with
+    the exact conditional ``q`` for the minus port, and survives its
+    detector efficiency.  Every stage thins a Poisson stream, so the five
+    photon categories the record needs are independent Poisson counts,
+    drawn in this order: trigger and d1 (mean ``N e3 p q e1``), trigger and
+    d2 (``N e3 p (1 - q) e2``), trigger and neither (the trigger's
+    remainder), then d1 and d2 without a trigger (``1 - e3`` for ``e3``).
+    Only trigger-seen photons can coincide.  Dark counts, drawn next, land
+    on every detector and pair with trigger singles at the accidental
+    cross-rate within the coincidence window.  Identical (config, setting)
+    pairs yield bit-identical records.
     """
+    cfg = _instance("cfg", cfg, ExperimentConfig)
+    setting = _instance("setting", setting, Setting)
     rng = _STREAM.keyed(cfg.rng_seed, setting)
     duration = cfg.integration_time
 
     prep = (PropertySetting.at(setting.theta_prep), Outcome.PLUS)
     meas = (PropertySetting.at(setting.theta_meas), Outcome.MINUS)
-    # Squared overlaps can exceed 1 by a couple of ulps, never go below 0;
-    # the RNG rejects anything above 1.
-    p_pass = min(marginal_probability(H, prep), 1.0)
-    p_to_d1 = min(conditional_probability(meas, prep), 1.0)
+    p = marginal_probability(H, prep)
+    # A squared overlap can exceed 1 by a couple of ulps, never go below 0.
+    q = min(conditional_probability(meas, prep), 1.0)
+    # Shares of the pairs that reach d1, d2 or neither.  The sampler refuses
+    # a negative mean, so the remainder is kept from rounding below 0.
+    to_d1 = p * q * cfg.eff_d1
+    to_d2 = p * (1.0 - q) * cfg.eff_d2
+    to_none = max(1.0 - to_d1 - to_d2, 0.0)
+    triggered = cfg.heralded_rate * duration * cfg.eff_d3
+    untriggered = cfg.heralded_rate * duration * (1.0 - cfg.eff_d3)
+    trig_d1, trig_d2, trig_none = (rng.poisson(triggered * f) for f in (to_d1, to_d2, to_none))
+    rest_d1, rest_d2 = (rng.poisson(untriggered * f) for f in (to_d1, to_d2))
+    n_trig = trig_d1 + trig_d2 + trig_none
 
-    n_herald = int(rng.poisson(cfg.heralded_rate * duration))
-    n_trig = int(rng.binomial(n_herald, cfg.eff_d3))
-
-    # Trigger-seen photons can coincide; the rest only feed the singles.
-    det1_trig, det2_trig = _transmit(rng, n_trig, p_pass, p_to_d1, cfg.eff_d1, cfg.eff_d2)
-    det1_rest, det2_rest = _transmit(
-        rng, n_herald - n_trig, p_pass, p_to_d1, cfg.eff_d1, cfg.eff_d2
-    )
-
-    dark1 = int(rng.poisson(cfg.dark_rate_d1 * duration))
-    dark2 = int(rng.poisson(cfg.dark_rate_d2 * duration))
-    dark3 = int(rng.poisson(cfg.dark_rate_d3 * duration))
+    dark1 = rng.poisson(cfg.dark_rate_d1 * duration)
+    dark2 = rng.poisson(cfg.dark_rate_d2 * duration)
+    dark3 = rng.poisson(cfg.dark_rate_d3 * duration)
 
     acc_scale = cfg.coincidence_window / duration
-    acc_13 = int(rng.poisson(dark1 * n_trig * acc_scale))
-    acc_23 = int(rng.poisson(dark2 * n_trig * acc_scale))
+    acc_13 = rng.poisson(dark1 * n_trig * acc_scale)
+    acc_23 = rng.poisson(dark2 * n_trig * acc_scale)
 
     return CountRecord(
-        singles_d1=det1_trig + det1_rest + dark1,
-        singles_d2=det2_trig + det2_rest + dark2,
+        singles_d1=trig_d1 + rest_d1 + dark1,
+        singles_d2=trig_d2 + rest_d2 + dark2,
         singles_d3=n_trig + dark3,
-        coinc_13=det1_trig + acc_13,
-        coinc_23=det2_trig + acc_23,
+        coinc_13=trig_d1 + acc_13,
+        coinc_23=trig_d2 + acc_23,
         setting=setting,
         duration=duration,
     )
@@ -447,6 +438,8 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     zero-angle references, combines the joint estimates, and propagates
     the three errors in quadrature.
     """
+    cfg = _instance("cfg", cfg, ExperimentConfig)
+    triple = _instance("triple", triple, AngleTriple)
     joints = {}
     estimate = _witness(cfg, joints, {}, *triple.as_tuple())
     if estimate is None:
@@ -491,6 +484,7 @@ def run_full_scan(
     Every required setting is simulated once and each joint estimated
     once, and results are independent of evaluation order.
     """
+    cfg = _instance("cfg", cfg, ExperimentConfig)
     theta_a = _number("theta_a", theta_a)
     theta_b_profile = _number("theta_b_profile", theta_b_profile, 0.0, 180.0)
     steps = (cfg.p2_step, 2.0 * cfg.hwp_step)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.optimize import linprog
 
-from .qubit import Outcome, _number
+from .qubit import Outcome, _instance, _number
 
 #: Ensemble weights must sum to one this tightly.
 WEIGHT_SUM_ATOL = 1e-9
@@ -133,17 +133,12 @@ class JointTriple:
             object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, 1.0))
 
 
-def _triple(t: JointTriple) -> JointTriple:
-    if not isinstance(t, JointTriple):
-        raise ValueError(f"t must be a JointTriple, got {t!r}")
-    return t
-
-
 _SIMPLEX_ALPHA = np.ones(len(ALL_STATES))
 
 
 def random_ensemble(rng: np.random.Generator) -> ClassicalEnsemble:
     """Draw an ensemble uniformly from the weight simplex."""
+    rng = _instance("rng", rng, np.random.Generator)
     return ClassicalEnsemble.from_weights(rng.dirichlet(_SIMPLEX_ALPHA).tolist())
 
 
@@ -185,7 +180,7 @@ def s_classical(ens: ClassicalEnsemble) -> float:
     Non-negative for every ensemble; reaches 1 only on two of the eight
     vertex assignments.
     """
-    w = list(ens.weights.values())
+    w = list(_instance("ens", ens, ClassicalEnsemble).weights.values())
     return _joint(w, _MATCH_AB) + _joint(w, _MATCH_BC) - _joint(w, _MATCH_AC)
 
 
@@ -204,7 +199,7 @@ def classical_bound_holds(t: JointTriple, epsilon: float = BOUND_EPSILON) -> boo
     signature.
     """
     epsilon = _number("epsilon", epsilon, 0.0)
-    t = _triple(t)
+    t = _instance("t", t, JointTriple)
     return t.p_ac <= t.p_ab + t.p_bc + epsilon
 
 
@@ -250,7 +245,7 @@ def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> Classical
     ``t`` a JointTriple, else ValueError.
     """
     tolerance = _number("tolerance", tolerance, 0.0)
-    t = _triple(t)
+    t = _instance("t", t, JointTriple)
     if max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0) > tolerance:
         return None
     target = np.array([t.p_ab, t.p_bc, t.p_ac])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import _number, canonical_degrees
+from .qubit import _instance, _number, canonical_degrees
 
 AXIS_NAMES = ("theta_a", "theta_b", "theta_c")
 #: Fractional digits written by the CSV exporter.
@@ -313,6 +313,7 @@ def export_surface(land: SLandscape, format: str = "csv") -> str:
     equal to 6 decimals, or JSON integers past 2**53 that round to one
     float) raise ValueError naming their axis.
     """
+    land = _instance("land", land, SLandscape)
     if format not in ("csv", "json"):
         raise ValueError(f"unknown export format: {format!r}")
     axes = [axis.tolist() for axis in land.axes]

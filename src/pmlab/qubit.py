@@ -57,6 +57,13 @@ def _number(name, value, low=-_LARGEST, high=_LARGEST, strict=False, integer=Fal
     raise ValueError(f"{name} {rule} {number!r}")
 
 
+def _instance(name, value, cls):
+    """Check that an argument is a ``cls``; return it, else raise ValueError naming ``name``."""
+    if isinstance(value, cls):
+        return value
+    raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def canonical_degrees(value: float) -> float:
     """Map an orientation in degrees to its representative in [0, 180).
 

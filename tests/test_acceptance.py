@@ -186,18 +186,26 @@ def test_criterion_monte_carlo_calibration():
     ratio = short.std_error / long.std_error
     assert 8.0 <= ratio <= 12.0  # within 20% of sqrt(100)
 
-    # A noisier bench reproduces the reported violation within one sigma:
-    # its error bar sits near 0.03 and the estimate is compatible with
-    # -0.39 +/- 0.03.
-    noisy = estimate_S(ExperimentConfig.ideal(2100, rng_seed=1), optimum)
-    assert 0.025 <= noisy.std_error <= 0.035
-    combined = math.hypot(noisy.std_error, 0.03)
-    assert abs(noisy.value - (-0.39)) <= combined
+    # A noisier bench reproduces the reported violation of -0.39 +/- 0.03,
+    # as a calibration over seeds rather than one draw: every error bar
+    # sits near 0.03, the mean estimate is compatible with -0.39, and most
+    # single runs fall within one combined sigma of it.
+    noisy = [
+        estimate_S(ExperimentConfig.ideal(2100, rng_seed=seed), optimum) for seed in range(200)
+    ]
+    noisy_values = np.array([e.value for e in noisy])
+    noisy_errors = np.array([e.std_error for e in noisy])
+    assert np.all((0.025 <= noisy_errors) & (noisy_errors <= 0.035))
+    noisy_mean = noisy_values.mean()
+    mean_error = noisy_values.std(ddof=1) / math.sqrt(len(noisy))
+    assert abs(noisy_mean - (-0.39)) <= math.hypot(0.03, mean_error)
+    inside = np.mean(np.abs(noisy_values - (-0.39)) <= np.hypot(noisy_errors, 0.03))
+    assert inside >= 0.75
     report(
         "monte carlo calibration: "
         f"est={est.value:.4f}+-{est.std_error:.4f} (truth {truth:.4f}); "
         f"residual mean={mean:.2f} var={var:.2f}; time scaling ratio={ratio:.2f}; "
-        f"noisy est={noisy.value:.3f}+-{noisy.std_error:.3f} vs -0.39+-0.03"
+        f"noisy mean={noisy_mean:.4f}, {inside:.1%} of 200 seeds within -0.39+-0.03"
     )
 
 

@@ -13,6 +13,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmlab import bench
 from pmlab.bench import (
@@ -138,15 +140,18 @@ class TestSimulateSetting:
         assert (r1.coinc_13, r1.coinc_23) != (r2.coinc_13, r2.coinc_23)
 
     def test_stream_is_philox_keyed_by_seed_and_setting(self):
-        # Without loss or darks the trigger singles are the heralded pairs,
-        # the first draw of the setting's stream: Philox4x64 keyed by the
-        # seed, counter (0, 0, micro-degree preparation, micro-degree plate).
+        # Without loss or darks the d1 coincidences are the trigger-and-d1
+        # count, the first draw of the setting's stream: Philox4x64 keyed by
+        # the seed, counter (0, 0, micro-degree preparation, micro-degree
+        # plate), at mean pairs times the joint of the two angles.
         cfg = ExperimentConfig.ideal(5e4, rng_seed=7)
         record = simulate_setting(cfg, Setting(theta_prep=200.25, hwp_angle=33.5))
         key = np.random.SeedSequence(7).generate_state(2, np.uint64)
         counter = [0, 0, 20_250_000, 33_500_000]
         rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        assert record.singles_d3 == rng.poisson(5e4)
+        prep = (PropertySetting(20.25), Outcome.PLUS)
+        meas = (PropertySetting(67.0), Outcome.MINUS)
+        assert record.coinc_13 == rng.poisson(5e4 * joint_probability(H, prep, meas))
 
     def test_seed_past_64_bits(self):
         cfg = ExperimentConfig(rng_seed=2**200 + 1)
@@ -253,6 +258,65 @@ class TestSimulateSetting:
             Setting.for_angles(0.0, 45.0),
         )
         assert lossy.coinc_13 < 0.3 * full.coinc_13
+
+    def test_count_means_match_closed_form(self):
+        # A lossy, dark bench with a wide window, at a setting with 0 < p, q < 1:
+        # each count's mean over 400 seeds lies within 4 standard errors of
+        # its expectation, accidentals included.
+        params = dict(
+            heralded_rate=2e4,
+            integration_time=2.0,
+            eff_d1=0.6,
+            eff_d2=0.5,
+            eff_d3=0.4,
+            dark_rate_d1=3e3,
+            dark_rate_d2=2e3,
+            dark_rate_d3=1e3,
+            coincidence_window=1e-5,
+        )
+        setting = Setting.for_angles(35.0, 100.0)
+        records = [
+            simulate_setting(ExperimentConfig(**params, rng_seed=seed), setting)
+            for seed in range(400)
+        ]
+        pairs, time, window = 4e4, 2.0, 1e-5
+        p = math.cos(math.radians(35.0)) ** 2
+        q = math.sin(math.radians(65.0)) ** 2
+        to_d1, to_d2 = p * q * 0.6, p * (1.0 - q) * 0.5
+        triggers = pairs * 0.4
+        expected = {
+            "singles_d1": pairs * to_d1 + 3e3 * time,
+            "singles_d2": pairs * to_d2 + 2e3 * time,
+            "singles_d3": triggers + 1e3 * time,
+            "coinc_13": triggers * to_d1 + 3e3 * time * triggers * window / time,
+            "coinc_23": triggers * to_d2 + 2e3 * time * triggers * window / time,
+        }
+        for name, mean in expected.items():
+            counts = np.array([getattr(record, name) for record in records])
+            std_error = counts.std(ddof=1) / math.sqrt(counts.size)
+            assert abs(counts.mean() - mean) <= 4.0 * std_error, name
+
+    # Anywhere in [0, 180], with extra weight on 0, 45, 90 and 180 and their
+    # neighbouring floats, where the overlaps reach 0 or 1.
+    _edges = [float(np.nextafter(x, x + d)) for x in (0.0, 45.0, 90.0, 180.0) for d in (-1, 0, 1)]
+    _angles = st.sampled_from(_edges) | st.floats(0.0, 180.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(prep=_angles, meas=_angles.filter(lambda angle: 0.0 <= angle <= 180.0))
+    # The minus-port conditional of this orthogonal pair rounds to 1 + 4e-16.
+    @example(prep=8.907081234608977, meas=98.90708123460898)
+    def test_lossless_bench_sends_every_count_into_a_coincidence(self, prep, meas):
+        record = simulate_setting(ExperimentConfig.ideal(1e4), Setting.for_angles(prep, meas))
+        assert record.singles_d1 == record.coinc_13
+        assert record.singles_d2 == record.coinc_23
+
+    def test_overlaps_past_one_give_no_negative_mean(self, monkeypatch):
+        # A probability a few ulps above 1 would make the d2 and
+        # trigger-remainder means negative, which the sampler refuses.
+        monkeypatch.setattr(bench, "marginal_probability", lambda *args: 1.0 + 4e-16)
+        monkeypatch.setattr(bench, "conditional_probability", lambda *args: 1.0 + 4e-16)
+        record = simulate_setting(ExperimentConfig.ideal(1e4), Setting.for_angles(0.0, 90.0))
+        assert record.coinc_23 == 0 and record.singles_d3 == record.coinc_13 > 0
 
 
 class TestEstimateJoint:
@@ -418,22 +482,22 @@ class TestEstimateS:
         "triple,expected",
         [
             # theta_a = 180 prepares at 0 degrees: that record is its own reference.
-            ((180.0, 0.0, 77.5), ("0.0", "0.014325719868876886")),
-            ((157.0, 123.5, 77.5), ("-0.40002501455955775", "0.01041942606154894")),
+            ((180.0, 0.0, 77.5), ("0.0", "0.014401538202247358")),
+            ((157.0, 123.5, 77.5), ("-0.4005135691889331", "0.010587763229150664")),
         ],
     )
     def test_estimate_pinned(self, triple, expected):
-        # Recorded with the re-keyed Philox stream; depends on numpy's samplers.
+        # Recorded with the independent-Poisson sampler; depends on numpy's.
         est = estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(*triple))
         assert (repr(est.value), repr(est.std_error)) == expected
 
     def test_hole_raises_the_failing_joints_error(self):
-        # Recorded with the re-keyed Philox stream.  A preparation at 90
+        # Recorded with the independent-Poisson sampler.  A preparation at 90
         # degrees passes nothing, so the first joint, (90, 30), is empty.
         with pytest.raises(InsufficientStatisticsError) as caught:
             estimate_S(ExperimentConfig(rng_seed=5), AngleTriple(90, 30, 60))
         assert str(caught.value) == (
-            "no coincidences to estimate from (record 0.0, reference 17777.0)"
+            "no coincidences to estimate from (record 0.0, reference 17971.0)"
         )
 
     def test_matches_full_scan_nodes_bit_for_bit(self):
@@ -606,11 +670,11 @@ class TestSerialization:
         assert row[2] == "nan" and row[3] == "nan"
 
     def test_full_scan_csv_bytes_pinned(self):
-        # sha256 recorded with the re-keyed Philox stream.
+        # sha256 recorded with the independent-Poisson sampler.
         result = run_full_scan(ExperimentConfig(rng_seed=3))
         assert hashlib.sha256(full_scan_surface_csv(result).encode()).hexdigest() == (
-            "79bf50f47d6f6db0f24ee831145c9db47751d7fa6d82f6bdb68aef9138437e19"
+            "b8b7e21804500f302539c406f43a5edb5c22426123898f3a39091702dd837a20"
         )
         assert hashlib.sha256(full_scan_profile_csv(result).encode()).hexdigest() == (
-            "8c1eff4feddb5dfbaff13ed94286f196897baada17b903cad04aad1a741d7407"
+            "bc9efc4dd5f95bef02991f624cb1194b408eda60fabd53bab30b36f8252ecd16"
         )

@@ -34,13 +34,16 @@ from pmlab import (
     accidental_estimate,
     classical_bound_holds,
     eigenstate,
+    estimate_S,
     estimate_joint,
     export_surface,
     fit_classical,
     grid_scan,
     minimize_s,
     parse_surface,
+    random_ensemble,
     run_full_scan,
+    s_classical,
     simulate_setting,
 )
 
@@ -189,6 +192,14 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
         ),
         pytest.param(lambda: parse_surface("[" * 100_000, "json"), id="parse_surface-json-deep"),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
+        # An argument that should be one of the library's records, or a generator.
+        pytest.param(lambda: run_full_scan("cfg"), id="run_full_scan-str-config"),
+        pytest.param(lambda: estimate_S(COARSE, (1, 2, 3)), id="estimate_S-tuple-triple"),
+        pytest.param(lambda: simulate_setting(COARSE, (1, 2)), id="simulate_setting-tuple"),
+        pytest.param(lambda: simulate_setting("cfg", SETTING), id="simulate_setting-str-config"),
+        pytest.param(lambda: s_classical("x"), id="s_classical-str"),
+        pytest.param(lambda: export_surface("x"), id="export_surface-str"),
+        pytest.param(lambda: random_ensemble(None), id="random_ensemble-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
         pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
         pytest.param(lambda: ExperimentConfig.from_json("[" * 100_000), id="from_json-deep-list"),
