@@ -334,6 +334,7 @@ def accidental_estimate(record: CountRecord, window: float) -> tuple[float, floa
     Uncorrelated streams at the recorded singles rates coincide at the
     cross-rate times the window; this is the standard lab-side correction.
     """
+    record = _instance("record", record, CountRecord)
     scale = _number("window", window, 0.0) / record.duration
     return (
         record.singles_d1 * record.singles_d3 * scale,
@@ -366,6 +367,8 @@ def estimate_joint(
     window as ``subtract_window`` to remove the singles cross-rate
     estimate from every channel first.
     """
+    record = _instance("record", record, CountRecord)
+    reference = _instance("reference", reference, CountRecord)
     if reference.setting.theta_prep != 0.0:
         raise ValueError("reference record must be taken at theta_prep = 0")
     if abs(reference.setting.hwp_angle - record.setting.hwp_angle) > 1e-9:
@@ -525,6 +528,7 @@ def run_full_scan(
 
 
 def estimate_to_json(estimate: SEstimate) -> str:
+    estimate = _instance("estimate", estimate, SEstimate)
     payload = {
         "value": estimate.value,
         "std_error": estimate.std_error,
@@ -551,6 +555,7 @@ def full_scan_surface_csv(result: FullScanResult) -> str:
 
     Nodes without coincidence data carry nan in the simulated columns.
     """
+    result = _instance("result", result, FullScanResult)
     axes = (result.theta_b_axis, result.theta_c_axis)
     estimates = itertools.chain.from_iterable(result.surface)
     return _nodes_csv(["theta_b", "theta_c"], axes, estimates, result.surface_theory)
@@ -561,4 +566,5 @@ def full_scan_profile_csv(result: FullScanResult) -> str:
 
     Nodes without coincidence data carry nan in the simulated columns.
     """
+    result = _instance("result", result, FullScanResult)
     return _nodes_csv(["theta_c"], (result.theta_c_axis,), result.profile, result.profile_theory)

@@ -7,7 +7,8 @@ for such ensembles, checks the bound they must obey, verifies the bound by
 vertex enumeration, and decides whether a given probability triple is
 reachable classically at all.  The decision is the triple's closed-form
 distance from the polytope the eight assignments span; a linear program
-runs only to build an ensemble for a triple within tolerance.
+runs only to build an ensemble for a triple within tolerance.  The witness
+kernel also takes one weight array per assignment, scoring many ensembles.
 """
 from __future__ import annotations
 
@@ -160,17 +161,25 @@ def _matches(pair: OutcomePair) -> tuple[int, ...]:
     return tuple(i for i, state in enumerate(ALL_STATES) if atom_joint(state, pair))
 
 
-def _joint(weights: list[float], matches: tuple[int, ...]) -> float:
+def _joint(weights: list, matches: tuple[int, ...]):
     # Same value, bit for bit, as summing weight * indicator over all
-    # eight states in order: the skipped terms are exact zeros.
+    # eight states in order: the skipped terms are exact zeros.  Weights may
+    # be floats or equal-length arrays, added element by element.
     return sum([weights[i] for i in matches], 0.0)
 
 
 _MATCH_AB, _MATCH_BC, _MATCH_AC = map(_matches, (PAIR_AB, PAIR_BC, PAIR_AC))
 
 
+def _witness(weights: list):
+    # P(a+b-) + P(b+c-) - P(a+c-) from eight weights in ALL_STATES order:
+    # one ensemble's floats, or one column of many ensembles per state.
+    return _joint(weights, _MATCH_AB) + _joint(weights, _MATCH_BC) - _joint(weights, _MATCH_AC)
+
+
 def ensemble_joint(ens: ClassicalEnsemble, pair: OutcomePair) -> float:
     """Weighted joint probability of the pair over the ensemble."""
+    ens = _instance("ens", ens, ClassicalEnsemble)
     return _joint(list(ens.weights.values()), _matches(pair))
 
 
@@ -178,15 +187,15 @@ def s_classical(ens: ClassicalEnsemble) -> float:
     """The witness combination P(a+b-) + P(b+c-) - P(a+c-) for an ensemble.
 
     Non-negative for every ensemble; reaches 1 only on two of the eight
-    vertex assignments.
+    vertex assignments.  ``classical-verify`` runs the same kernel on
+    weight columns of many ensembles at once, with equal values bit for bit.
     """
-    w = list(_instance("ens", ens, ClassicalEnsemble).weights.values())
-    return _joint(w, _MATCH_AB) + _joint(w, _MATCH_BC) - _joint(w, _MATCH_AC)
+    return _witness(list(_instance("ens", ens, ClassicalEnsemble).weights.values()))
 
 
 def joint_triple(ens: ClassicalEnsemble) -> JointTriple:
     """The three bound-relevant joints of an ensemble, as a triple."""
-    w = list(ens.weights.values())
+    w = list(_instance("ens", ens, ClassicalEnsemble).weights.values())
     return JointTriple(
         p_ab=_joint(w, _MATCH_AB), p_bc=_joint(w, _MATCH_BC), p_ac=_joint(w, _MATCH_AC)
     )

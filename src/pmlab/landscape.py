@@ -168,6 +168,7 @@ def s_quantum(t: AngleTriple) -> float:
     joint probabilities for a horizontally polarized input; can go
     negative, unlike any classical ensemble.
     """
+    t = _instance("t", t, AngleTriple)
     return _s(t.theta_a, t.theta_b, t.theta_c)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmlab import cli
+from pmlab import classical, cli
 from pmlab.bench import ExperimentConfig
 
 
@@ -166,11 +166,63 @@ class TestClassicalVerify:
         assert err.startswith("error: --seed ") and err.count("\n") == 1
 
     def test_violation_exit_code(self, capsys, monkeypatch):
-        # Force an impossible witness value to exercise the failure path.
-        monkeypatch.setattr(cli.classical, "s_classical", lambda ens: -1.0)
+        # Force impossible witness values, in [-2, -1], to exercise the failure path.
+        monkeypatch.setattr(cli.classical, "_witness", lambda weights: weights[0] - 2.0)
         code, out, _ = run(capsys, "classical-verify", "--samples", "10", "--seed", "1")
         assert code == 3
         assert "BOUND VIOLATED" in out
+
+    @pytest.mark.parametrize("bad", [-1e-6, 1.0 + 1e-6])
+    @pytest.mark.parametrize("full_chunk", [True, False])
+    def test_one_bad_sample_is_a_violation(self, capsys, monkeypatch, bad, full_chunk):
+        # Every sampled value in bounds but one, the last of the full first
+        # chunk or of the three-sample second chunk.
+        def witness(weights, vertex_witness=cli.classical._witness):
+            if isinstance(weights[0], float):  # the vertex enumeration
+                return vertex_witness(weights)
+            values = np.full(len(weights[0]), 0.5)
+            if (len(values) == cli._CHUNK) == full_chunk:
+                values[-1] = bad
+            return values
+
+        monkeypatch.setattr(cli.classical, "_witness", witness)
+        samples = str(cli._CHUNK + 3)
+        code, out, _ = run(capsys, "classical-verify", "--samples", samples, "--seed", "1")
+        assert code == 3
+        assert "BOUND VIOLATED" in out
+
+
+def sampled_values(seed, samples):
+    """The array pass's witness values, one per sample, as a list of floats."""
+    chunks = list(cli._sampled_witness(np.random.default_rng(seed), samples))
+    assert all(0 < len(chunk) <= cli._CHUNK for chunk in chunks)
+    return np.concatenate(chunks).tolist()
+
+
+def looped_values(seed, samples):
+    """The public per-sample loop's witness values, one per sample."""
+    rng = np.random.default_rng(seed)
+    return [classical.s_classical(classical.random_ensemble(rng)) for _ in range(samples)]
+
+
+# The printed range starts from the vertex values 0 and 1, so stdout
+# cannot show a changed stream; each sample's value is compared instead.
+# A longer loop's prefix is the shorter loop, so one loop per seed serves
+# every sample count.
+@pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
+def test_array_pass_equals_the_per_sample_loop(seed):
+    chunk = cli._CHUNK
+    looped = looped_values(seed, 2 * chunk + 3)
+    for samples in (1, 50, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        assert sampled_values(seed, samples) == looped[:samples], samples
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_array_pass_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    looped = looped_values(5, 300)
+    for samples in (1, chunk, chunk + 1, 2 * chunk + 3, 300):
+        assert sampled_values(5, samples) == looped[:samples], samples
 
 
 class TestFit:

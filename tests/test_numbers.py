@@ -34,18 +34,23 @@ from pmlab import (
     accidental_estimate,
     classical_bound_holds,
     eigenstate,
+    ensemble_joint,
     estimate_S,
     estimate_joint,
     export_surface,
     fit_classical,
     grid_scan,
+    joint_triple,
     minimize_s,
     parse_surface,
     random_ensemble,
     run_full_scan,
     s_classical,
+    s_quantum,
     simulate_setting,
 )
+from pmlab.bench import estimate_to_json, full_scan_profile_csv, full_scan_surface_csv
+from pmlab.classical import PAIR_AB
 
 COARSE = ExperimentConfig(p2_step=30.0, hwp_step=15.0)
 RECORD = simulate_setting(COARSE, Setting(20.0, 25.0))
@@ -198,6 +203,15 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
         pytest.param(lambda: simulate_setting(COARSE, (1, 2)), id="simulate_setting-tuple"),
         pytest.param(lambda: simulate_setting("cfg", SETTING), id="simulate_setting-str-config"),
         pytest.param(lambda: s_classical("x"), id="s_classical-str"),
+        pytest.param(lambda: joint_triple("x"), id="joint_triple-str"),
+        pytest.param(lambda: ensemble_joint("x", PAIR_AB), id="ensemble_joint-str"),
+        pytest.param(lambda: estimate_joint("a", "b"), id="estimate_joint-str-record"),
+        pytest.param(lambda: estimate_joint(RECORD, "b"), id="estimate_joint-str-reference"),
+        pytest.param(lambda: accidental_estimate("a", 1e-9), id="accidental-str-record"),
+        pytest.param(lambda: estimate_to_json("x"), id="estimate_to_json-str"),
+        pytest.param(lambda: full_scan_surface_csv("x"), id="surface_csv-str"),
+        pytest.param(lambda: full_scan_profile_csv("x"), id="profile_csv-str"),
+        pytest.param(lambda: s_quantum((1, 2, 3)), id="s_quantum-tuple"),
         pytest.param(lambda: export_surface("x"), id="export_surface-str"),
         pytest.param(lambda: random_ensemble(None), id="random_ensemble-None"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
