@@ -198,7 +198,7 @@ class CountRecord:
         _instance("setting", self.setting, Setting)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Estimate:
     """A value with its propagated standard error."""
 
@@ -218,9 +218,13 @@ class EstimatedProbability(_Estimate):
     slightly outside [0, 1].
     """
 
+    __slots__ = ()
+
 
 class SEstimate(_Estimate):
     """Witness estimate with propagated error and violation significance."""
+
+    __slots__ = ()
 
     @property
     def sigma_violation(self) -> float:
@@ -395,20 +399,24 @@ def estimate_joint(
 def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbability | None:
     """One joint's estimate, or None when it has no coincidences.
 
-    ``joints`` keeps what each joint, keyed (canonical preparation,
-    analyzer), gave: its estimate or its InsufficientStatisticsError's message.
+    ``joints`` maps each canonical preparation to what its joints gave, by
+    analyzer: the estimate or its InsufficientStatisticsError's message, so
+    a scan drops one preparation's joints in one step.
     ``references`` keeps the zero-angle record per analyzer; any other
     record is dropped once its joint is known.
     """
     meas = float(meas)
-    key = (canonical_degrees(prep), meas)
-    joint = joints.get(key)
+    prep = canonical_degrees(prep)
+    row = joints.get(prep)
+    if row is None:
+        row = joints[prep] = {}
+    joint = row.get(meas)
     if joint is None:
         reference = references.get(meas)
         if reference is None:
             reference = references[meas] = simulate_setting(cfg, Setting.for_angles(0.0, meas))
         # A preparation at 0 degrees is its own reference record.
-        if key[0] == 0.0:
+        if prep == 0.0:
             record = reference
         else:
             record = simulate_setting(cfg, Setting.for_angles(prep, meas))
@@ -416,7 +424,7 @@ def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbab
             joint = estimate_joint(record, reference)
         except InsufficientStatisticsError as error:
             joint = str(error)
-        joints[key] = joint
+        row[meas] = joint
     return None if isinstance(joint, str) else joint
 
 
@@ -446,8 +454,9 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     joints = {}
     estimate = _witness(cfg, joints, {}, *triple.as_tuple())
     if estimate is None:
-        # The witness stops at its first failing joint, the last one cached.
-        raise InsufficientStatisticsError(joints.popitem()[1])
+        # The witness stops at its first failing joint, the one message cached.
+        messages = (j for row in joints.values() for j in row.values() if isinstance(j, str))
+        raise InsufficientStatisticsError(next(messages))
     return estimate
 
 
@@ -486,6 +495,10 @@ def run_full_scan(
     node nearest the optimum); the profile additionally fixes theta_b.
     Every required setting is simulated once and each joint estimated
     once, and results are independent of evaluation order.
+
+    The scan runs row by row.  Beyond its result it holds theta_a's joints,
+    one zero-angle reference per analyzer and the joints of the preparation
+    it is on: memory that grows with the analyzer axis, not the grid.
     """
     cfg = _instance("cfg", cfg, ExperimentConfig)
     theta_a = _number("theta_a", theta_a)
@@ -505,15 +518,29 @@ def run_full_scan(
     )
 
     # One pass over the rows, the profile last, so its nodes reuse the
-    # surface's joints and each joint is estimated once.
+    # surface's joints and each joint is estimated once.  A profile on
+    # theta_b's axis is a copy of that row.  Joints that prepare at theta_a
+    # serve every row; any other preparation's joints go after the last row
+    # that prepares there (rows 0 and 180 share one preparation).
     rows = (*theta_b_axis, theta_b_profile)
+    b_nodes = theta_b_axis.tolist()
+    scanned = rows[:-1] if theta_b_profile in b_nodes else rows
+    preps = [canonical_degrees(tb) for tb in scanned]
+    last_row = {prep: i for i, prep in enumerate(preps)}
+    last_row.pop(canonical_degrees(theta_a), None)
     joints, references = {}, {}
-    estimates = [
-        [_witness(cfg, joints, references, theta_a, tb, tc) for tc in theta_c_axis] for tb in rows
-    ]
-    theory = np.array(
-        [[s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis] for tb in rows]
-    )
+    estimates = []
+    for i, (tb, prep) in enumerate(zip(scanned, preps)):
+        row = [_witness(cfg, joints, references, theta_a, tb, tc) for tc in theta_c_axis]
+        estimates.append(row)
+        if last_row.get(prep) == i:
+            # A row whose head joint (theta_a, tb) is a hole stores none.
+            joints.pop(prep, None)
+    if len(scanned) < len(rows):
+        estimates.append(list(estimates[b_nodes.index(theta_b_profile)]))
+    theory = np.empty((len(rows), theta_c_axis.size))
+    for i, tb in enumerate(rows):
+        theory[i] = [s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis]
 
     return FullScanResult(
         theta_a=theta_a,

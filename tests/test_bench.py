@@ -5,11 +5,15 @@ must reproduce them statistically, with error bars that actually cover
 the spread (checked by standardized residuals over many seeds).
 """
 import collections
+import copy
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +445,26 @@ class TestSEstimate:
     def test_sigma_violation_with_zero_error(self):
         assert SEstimate(value=-0.1, std_error=0.0).sigma_violation == math.inf
 
+    @pytest.mark.parametrize("cls", [EstimatedProbability, SEstimate])
+    def test_slotted_record_round_trips(self, cls):
+        est = cls(value=-0.25, std_error=0.125)
+        assert not hasattr(est, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(est)), copy.copy(est), dataclasses.replace(est)):
+            assert type(twin) is cls
+            assert twin == est and hash(twin) == hash(est)
+        moved = dataclasses.replace(est, value=0.5)
+        assert (moved.value, moved.std_error) == (0.5, 0.125)
+        assert moved != est
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            est.value = 0.0
+
+    def test_pickled_full_scan_writes_the_same_csvs(self):
+        cfg = ExperimentConfig.ideal(2e5, p2_step=30.0, hwp_step=15.0, rng_seed=17)
+        result = run_full_scan(cfg, theta_b_profile=125.5)
+        twin = pickle.loads(pickle.dumps(result))
+        assert full_scan_surface_csv(twin) == full_scan_surface_csv(result)
+        assert full_scan_profile_csv(twin) == full_scan_profile_csv(result)
+
 
 class TestEstimateS:
     def test_recovers_the_optimum_value(self):
@@ -598,9 +622,29 @@ class TestRunFullScan:
             run_full_scan(ExperimentConfig(p2_step=1.0, hwp_step=0.5), **kwargs)
         assert calls == []
 
-    def test_each_setting_simulated_and_each_joint_estimated_once(self, monkeypatch):
-        # theta_b_profile = 90 repeats the surface's failing (90, theta_c)
-        # joints, and those too are estimated once.
+    @pytest.mark.parametrize(
+        "steps,theta_a,theta_b_profile,failed_preps",
+        [
+            # theta_a on and off the grid; its row shares its joints.
+            ((6.0, 3.0), 156.0, 90.0, {90.0}),
+            ((6.0, 3.0), 157.0, 90.0, {90.0}),
+            # theta_a at 0 prepares like rows 0 and 180.
+            ((6.0, 3.0), 0.0, 125.5, {90.0}),
+            # A profile off the grid, and one on it.
+            ((6.0, 3.0), 156.0, 125.5, {90.0}),
+            ((6.0, 3.0), 156.0, 126.0, {90.0}),
+            # 180 is off this grid's axis, but prepares like row 0.  Its 91
+            # degree row draws no coincidences at some nodes at seed 3.
+            ((7.0, 3.5), 156.0, 180.0, {91.0}),
+        ],
+        ids=["a156-b90", "a157-b90", "a0-b125.5", "a156-b125.5", "a156-b126", "7deg-b180"],
+    )
+    def test_each_setting_simulated_and_each_joint_estimated_once(
+        self, monkeypatch, steps, theta_a, theta_b_profile, failed_preps
+    ):
+        # A joint dropped before its preparation's last row would be estimated
+        # again.  theta_b_profile = 90 repeats the surface's failing
+        # (90, theta_c) joints, and those too are estimated once.
         simulated, estimated = collections.Counter(), collections.Counter()
         failed = set()
 
@@ -619,10 +663,26 @@ class TestRunFullScan:
 
         monkeypatch.setattr(bench, "simulate_setting", counted_simulate)
         monkeypatch.setattr(bench, "estimate_joint", counted_estimate)
-        run_full_scan(ExperimentConfig(rng_seed=3), theta_b_profile=90.0)
+        cfg = ExperimentConfig(p2_step=steps[0], hwp_step=steps[1], rng_seed=3)
+        run_full_scan(cfg, theta_a=theta_a, theta_b_profile=theta_b_profile)
         assert max(simulated.values()) == 1
         assert max(estimated.values()) == 1
-        assert {prep for prep, _ in failed} == {90.0}
+        assert {prep for prep, _ in failed} == failed_preps
+
+    def test_working_memory_beyond_the_result_is_bounded(self):
+        # The scan keeps theta_a's joints and one preparation's row, so its
+        # heap peak stays near the result it returns.  A warm-up run fills
+        # the module caches first.
+        cfg = ExperimentConfig(p2_step=2.0, hwp_step=1.0, rng_seed=3)
+        run_full_scan(cfg)
+        tracemalloc.start()
+        try:
+            result = run_full_scan(cfg)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.surface) == 91
+        assert peak <= 1.75 * size
 
     @pytest.mark.parametrize("theta_b_profile", [0.0, 126.0, 90.0, 180.0])
     def test_profile_on_an_axis_row_is_that_row(self, theta_b_profile):
@@ -631,6 +691,10 @@ class TestRunFullScan:
         bits = lambda nodes: [e and (e.value.hex(), e.std_error.hex()) for e in nodes]
         assert bits(result.profile) == bits(result.surface[row])
         assert result.profile_theory.tobytes() == result.surface_theory[row].tobytes()
+        # A copy of the row, not the row itself.
+        assert result.profile is not result.surface[row]
+        result.profile[0] = "changed"
+        assert result.surface[row][0] != "changed"
 
     @pytest.mark.parametrize("p2_step,hwp_step,last", [(7.0, 3.5, 175.0), (6.0, 100.0, 0.0)])
     def test_axes_stop_at_the_last_node_within_180(self, p2_step, hwp_step, last):
