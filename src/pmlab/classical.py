@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -42,18 +42,18 @@ class Property(Enum):
 
 @dataclass(frozen=True)
 class GeneralizedState:
-    """A simultaneous outcome assignment to all three properties."""
+    """A simultaneous outcome assignment to all three properties, each an Outcome."""
 
     alpha: Outcome
     beta: Outcome
     gamma: Outcome
 
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma"):
+            _instance(name, getattr(self, name), Outcome)
+
     def outcome_of(self, prop: Property) -> Outcome:
-        if prop is Property.A:
-            return self.alpha
-        if prop is Property.B:
-            return self.beta
-        return self.gamma
+        return {Property.A: self.alpha, Property.B: self.beta}.get(prop, self.gamma)
 
     def label(self) -> str:
         sign = {Outcome.PLUS: "+", Outcome.MINUS: "-"}
@@ -89,7 +89,7 @@ class ClassicalEnsemble:
         # hashes, and update adds a key only for an unknown state.  Storing a
         # value hashes its key again, so only converted weights are rewritten.
         ordered = _NO_WEIGHTS.copy()
-        ordered.update(self.weights)
+        ordered.update(_instance("weights", self.weights, Mapping))
         if len(ordered) > len(ALL_STATES):
             unknown = list(ordered)[len(ALL_STATES):]
             raise ValueError(f"weights keyed by unknown states: {unknown!r}")
@@ -112,7 +112,7 @@ class ClassicalEnsemble:
     @classmethod
     def from_weights(cls, values: Iterable[float]) -> "ClassicalEnsemble":
         """Build from eight weights given in ``ALL_STATES`` order."""
-        vals = list(values)
+        vals = list(_instance("values", values, Iterable))
         if len(vals) != len(ALL_STATES):
             raise ValueError(f"expected {len(ALL_STATES)} weights, got {len(vals)}")
         return cls(dict(zip(ALL_STATES, vals)))
@@ -147,13 +147,16 @@ def atom_joint(state: GeneralizedState, pair: OutcomePair) -> float:
     """Joint probability of the pair for a single definite assignment.
 
     1 if the state's outcomes match both requests (whatever the third
-    property holds), else 0.  The two requests must name distinct
-    properties.
+    property holds), else 0.  The pair must be two (Property, Outcome)
+    requests naming distinct properties, else ValueError.
     """
-    (prop1, out1), (prop2, out2) = pair
-    if prop1 is prop2:
-        raise ValueError(f"pair must name two distinct properties, got {prop1} twice")
-    return 1.0 if state.outcome_of(prop1) is out1 and state.outcome_of(prop2) is out2 else 0.0
+    state = _instance("state", state, GeneralizedState)
+    match pair:
+        case ((Property() as prop1, Outcome() as out1), (Property() as prop2, Outcome() as out2)):
+            if prop1 is prop2:
+                raise ValueError(f"pair must name two distinct properties, got {prop1} twice")
+            return float(state.outcome_of(prop1) is out1 and state.outcome_of(prop2) is out2)
+    raise ValueError(f"pair must be two (Property, Outcome) requests, got {pair!r}")
 
 
 def _matches(pair: OutcomePair) -> tuple[int, ...]:

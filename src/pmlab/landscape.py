@@ -95,8 +95,8 @@ class SLandscape:
 
     ``axes`` holds the node angles per dimension (length-1 for a fixed
     angle), each node once; ``values`` is flat, row-major over
-    (theta_a, theta_b, theta_c).  All four are 1-D numpy arrays of integer
-    or float dtype, the numbers export_surface writes and parse_surface reads.
+    (theta_a, theta_b, theta_c).  All four are 1-D numpy arrays of float
+    dtype, the numbers export_surface writes and parse_surface reads.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -106,12 +106,10 @@ class SLandscape:
         # A dtype check per array, so grid_scan pays nothing per node.
         arrays = (*self.axes, self.values) if isinstance(self.axes, tuple | list) else ()
         if len(arrays) != 4 or not all(
-            isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iuf"
+            isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind == "f"
             for array in arrays
         ):
-            raise ValueError(
-                "landscape axes must be three 1-D arrays and values one, of integer or float dtype"
-            )
+            raise ValueError("landscape axes must be three 1-D arrays and values one, all float")
         expected = 1
         for name, axis in zip(AXIS_NAMES, self.axes):
             if axis.size == 0 or not np.all(np.isfinite(axis)):
@@ -221,9 +219,11 @@ def minimize_s(
 
     theta_c is eliminated in closed form (``_s_over_c``).  Evaluates the
     seed grid over theta_a and theta_b, then from the ``starts`` best nodes
-    (ties broken by lowest row-major index) steps to the best of the 8
-    neighbours while that improves, halving the step from the grid's down
-    to the angular ``tolerance`` in degrees.  The refined minimum is never
+    (ties broken by lowest row-major index) tries the 8 neighbours in
+    ``_MOVES`` order, moving to each one that improves on the current point
+    and trying the rest from there, and sweeps again until a sweep makes no
+    move; then it halves the step, from the grid's down to the angular
+    ``tolerance`` in degrees.  The refined minimum is never
     above the best seed node, so never above any node of the seed cube.
     Raises ValueError for a ``seed_grid`` that is not a ScanGrid, or whose
     square exceeds the node cap.
@@ -310,22 +310,19 @@ def export_surface(land: SLandscape, format: str = "csv") -> str:
     for a single free axis, a matrix with row and column angle labels for
     two, and long (a, b, c, S) rows otherwise.
     JSON carries the axes and the flat row-major values at full precision.
-    Distinct nodes that parse_surface would read back as one (CSV nodes
-    equal to 6 decimals, or JSON integers past 2**53 that round to one
-    float) raise ValueError naming their axis.
+    Distinct CSV nodes that parse_surface would read back as one, being
+    equal to 6 decimals, raise ValueError naming their axis.
     """
     land = _instance("land", land, SLandscape)
-    if format not in ("csv", "json"):
+    if format == "json":
+        axes = [axis.tolist() for axis in land.axes]
+        return json.dumps({"axes": axes, "values": land.values.tolist()}) + "\n"
+    if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
-    axes = [axis.tolist() for axis in land.axes]
-    for name, axis in zip(AXIS_NAMES, axes):
-        # The nodes parse_surface reads: CSV cells, JSON integers as floats.
-        cells = map(_fmt, axis) if format == "csv" else axis
-        if len(set(map(float, cells))) < len(axis):
+    for name, axis in zip(AXIS_NAMES, land.axes):
+        if len(set(map(float, map(_fmt, axis.tolist())))) < axis.size:
             raise ValueError(f"surface axis {name} has nodes that are equal once written")
-    if format == "csv":
-        return _to_csv(land)
-    return json.dumps({"axes": axes, "values": land.values.tolist()}) + "\n"
+    return _to_csv(land)
 
 
 def parse_surface(document: str, format: str = "csv") -> SLandscape:

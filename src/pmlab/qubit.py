@@ -116,23 +116,18 @@ def _property_at(degrees: float) -> PropertySetting:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized polarization state ``amp_h |H> + amp_v |V>``.
+    """Normalized linear polarization state ``amp_h |H> + amp_v |V>``.
 
-    Amplitudes may be complex, although every state built by
-    :func:`eigenstate` is real (linear polarization only).  They are stored
-    as plain ``complex`` or, when real, ``float``.
+    Both amplitudes must be real numbers, not complex; they are stored as ``float``.
     """
 
-    amp_h: complex
-    amp_v: complex
+    amp_h: float
+    amp_v: float
 
     def __post_init__(self) -> None:
-        # Complex amplitudes are left to the norm test; a product overflows to inf, ** 2 raises.
         for name in ("amp_h", "amp_v"):
-            amp = getattr(self, name)
-            amp = complex(amp) if isinstance(amp, complex) else _number("amplitude", amp)
-            object.__setattr__(self, name, amp)
-        norm = abs(self.amp_h) * abs(self.amp_h) + abs(self.amp_v) * abs(self.amp_v)
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        norm = self.amp_h * self.amp_h + self.amp_v * self.amp_v
         if not abs(norm - 1.0) <= PROBABILITY_ATOL:
             raise ValueError(f"state must be normalized, got |amp|^2 = {norm!r}")
 
@@ -149,22 +144,27 @@ def eigenstate(prop: PropertySetting, outcome: Outcome) -> PureState:
     """Eigenstate of a linear-polarization property for the given outcome.
 
     For orientation theta the +1 eigenstate is (cos theta, sin theta) and
-    the -1 eigenstate is (sin theta, -cos theta); the two are orthogonal.
-    ``outcome`` may be an Outcome or the integer 1 or -1; the state returned
-    is the one ``prop`` holds for that outcome.
+    the -1 eigenstate is (sin theta, -cos theta); the two are orthogonal,
+    and ``prop`` holds both.  ``outcome`` must be an Outcome, else ValueError.
     """
-    if not isinstance(outcome, Outcome):
-        if _number("outcome", outcome, -1, 1, integer=True) == 0:
-            raise ValueError("outcome must be 1 or -1, got 0")
-        outcome = Outcome(outcome)
-    plus, minus = prop._eigenstates
-    return plus if outcome is Outcome.PLUS else minus
+    plus, minus = _instance("prop", prop, PropertySetting)._eigenstates
+    return plus if _instance("outcome", outcome, Outcome) is Outcome.PLUS else minus
+
+
+def _projected(name: str, projection: Projection) -> PureState:
+    # A Projection's eigenstate: its shape is checked here, its items by eigenstate.
+    if isinstance(projection, tuple) and len(projection) == 2:
+        return eigenstate(*projection)
+    raise ValueError(f"{name} must be a (PropertySetting, Outcome) pair, got {projection!r}")
+
+
+def _born(s1: PureState, s2: PureState) -> float:
+    return (s1.amp_h * s2.amp_h + s1.amp_v * s2.amp_v) ** 2
 
 
 def transition_probability(s1: PureState, s2: PureState) -> float:
-    """Born probability |<s1|s2>|^2, symmetric in its arguments."""
-    overlap = s1.amp_h.conjugate() * s2.amp_h + s1.amp_v.conjugate() * s2.amp_v
-    return overlap.real**2 + overlap.imag**2
+    """Born probability <s1|s2>^2 of two real states, symmetric in its arguments."""
+    return _born(_instance("s1", s1, PureState), _instance("s2", s2, PureState))
 
 
 def conditional_probability(meas: Projection, prep: Projection) -> float:
@@ -173,7 +173,7 @@ def conditional_probability(meas: Projection, prep: Projection) -> float:
     For measuring minus at theta_m on a plus preparation at theta_p this
     equals sin^2(theta_m - theta_p).
     """
-    return transition_probability(eigenstate(*meas), eigenstate(*prep))
+    return _born(_projected("meas", meas), _projected("prep", prep))
 
 
 def marginal_probability(initial: PureState, prep: Projection) -> float:
@@ -182,7 +182,7 @@ def marginal_probability(initial: PureState, prep: Projection) -> float:
     The conventional choice of input state is :data:`H`, for which a plus
     preparation at theta_p passes with probability cos^2(theta_p).
     """
-    return transition_probability(eigenstate(*prep), initial)
+    return _born(_projected("prep", prep), _instance("initial", initial, PureState))
 
 
 def joint_probability(initial: PureState, first: Projection, second: Projection) -> float:

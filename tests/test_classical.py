@@ -129,6 +129,14 @@ class TestGeneralizedState:
     def test_label(self):
         assert GeneralizedState(P, M, M).label() == "(a+ b- c-)"
 
+    @pytest.mark.parametrize(
+        "outcomes,name",
+        [((1, -1, 1), "alpha"), ((P, "-", M), "beta"), ((P, M, np.int64(1)), "gamma")],
+    )
+    def test_holds_only_outcomes(self, outcomes, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            GeneralizedState(*outcomes)
+
 
 class TestAtomJoint:
     def test_direct_match(self):
@@ -241,6 +249,25 @@ class TestEnsembleJoint:
     def test_rejects_repeated_property(self):
         with pytest.raises(ValueError, match="two distinct properties"):
             ensemble_joint(ClassicalEnsemble.uniform(), ((Property.A, P), (Property.A, M)))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ((Property.A, 1), (Property.B, -1)),
+            ((Property.A, P), (Property.B, np.int64(-1))),
+            ((Property.A, P),),
+            ((Property.A, P), ("b", M)),
+            "ab",
+        ],
+    )
+    def test_rejects_pairs_that_are_not_property_outcome_requests(self, pair):
+        # The integer pair once matched no state through ``is`` and gave 0.0.
+        state = GeneralizedState(P, M, P)
+        assert atom_joint(state, PAIR_AB) == 1.0
+        with pytest.raises(ValueError, match="^pair must be two"):
+            atom_joint(state, pair)
+        with pytest.raises(ValueError, match="^pair must be two"):
+            ensemble_joint(ClassicalEnsemble.point_mass(state), pair)
 
     @settings(max_examples=300, deadline=None)
     @given(ens=ensembles)

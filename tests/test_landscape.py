@@ -394,15 +394,13 @@ CSV_ATOL = 5e-7 + 1e-9
 
 
 def numbers_of(dtype):
-    if np.issubdtype(dtype, np.integer):
-        return st.integers(-(10**6), 10**6)
     return st.floats(-1e6, 1e6, width=np.finfo(dtype).bits)
 
 
 @st.composite
 def landscapes(draw):
-    """An SLandscape built directly: 1 to 3 free axes, int or float, either direction."""
-    dtypes = st.sampled_from([np.int32, np.int64, np.float32, np.float64])
+    """An SLandscape built directly: 1 to 3 free axes, float32 or float64, either direction."""
+    dtypes = st.sampled_from([np.float32, np.float64])
     axis_dtype, values_dtype = draw(dtypes), draw(dtypes)
     free = draw(st.sets(st.sampled_from(range(3)), min_size=1))
     axes = []
@@ -440,21 +438,18 @@ class TestParse:
     @settings(max_examples=200, deadline=None)
     @given(
         free=st.sampled_from(range(3)),
-        nodes=st.one_of(
-            st.lists(st.floats(-3e-6, 3e-6), min_size=2, max_size=4, unique=True),
-            st.lists(st.integers(2**53 - 3, 2**53 + 3), min_size=2, max_size=4, unique=True),
-        ),
+        nodes=st.lists(st.floats(-3e-6, 3e-6), min_size=2, max_size=4, unique=True),
         format=st.sampled_from(["csv", "json"]),
     )
     def test_export_writes_only_documents_parse_reads(self, free, nodes, format):
-        # Nodes that may meet once written: 6 decimals, or floats past 2**53.
+        # Nodes that may meet once written to 6 decimals; JSON writes every float exactly.
         axes = [np.zeros(1)] * 3
         axes[free] = np.array(nodes)
         land = SLandscape(tuple(axes), np.ones(len(nodes)))
         try:
             document = export_surface(land, format)
         except ValueError as error:
-            assert AXIS_NAMES[free] in str(error)
+            assert format == "csv" and AXIS_NAMES[free] in str(error)
         else:
             assert parse_surface(document, format).values.size == len(nodes)
 

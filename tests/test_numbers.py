@@ -22,9 +22,12 @@ from pmlab import (
     CountRecord,
     EstimatedProbability,
     ExperimentConfig,
+    GeneralizedState,
+    H,
     InsufficientStatisticsError,
     JointTriple,
     Outcome,
+    Property,
     PropertySetting,
     PureState,
     ScanGrid,
@@ -32,7 +35,9 @@ from pmlab import (
     Setting,
     SLandscape,
     accidental_estimate,
+    atom_joint,
     classical_bound_holds,
+    conditional_probability,
     eigenstate,
     ensemble_joint,
     estimate_S,
@@ -41,6 +46,7 @@ from pmlab import (
     fit_classical,
     grid_scan,
     joint_triple,
+    marginal_probability,
     minimize_s,
     parse_surface,
     random_ensemble,
@@ -48,6 +54,7 @@ from pmlab import (
     s_classical,
     s_quantum,
     simulate_setting,
+    transition_probability,
 )
 from pmlab.bench import estimate_to_json, full_scan_profile_csv, full_scan_surface_csv
 from pmlab.classical import PAIR_AB
@@ -58,6 +65,8 @@ REFERENCE = simulate_setting(COARSE, Setting(0.0, 25.0))
 SETTING = Setting(0.0, 0.0)
 TRIPLE = JointTriple(0.3, 0.2, 0.4)
 GRID = ScanGrid.full_range(90.0)
+PREP = (PropertySetting.at(30.0), Outcome.PLUS)
+INT_PAIR = ((Property.A, 1), (Property.B, -1))
 LONG_HEADER = "theta_a,theta_b,theta_c,S"
 
 
@@ -174,15 +183,16 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             ),
             id="export_surface-csv-nodes-equal-at-6-decimals",
         ),
-        pytest.param(
-            lambda: export_surface(
-                SLandscape((np.zeros(1), np.zeros(1), np.array([2**53, 2**53 + 1])), np.ones(2)),
-                "json",
-            ),
-            id="export_surface-json-ints-equal-as-floats",
-        ),
-        # An SLandscape holds numpy arrays of the numbers both documents hold.
+        # An SLandscape holds numpy arrays of the floats both documents hold.
         pytest.param(lambda: SLandscape(([0.0], [0.0], [0.0]), np.ones(1)), id="SLandscape-lists"),
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.arange(2)), np.ones(2)),
+            id="SLandscape-int64-axis",
+        ),
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.zeros(1)), np.ones(1, dtype=np.int32)),
+            id="SLandscape-int32-values",
+        ),
         pytest.param(
             lambda: SLandscape((np.zeros(1), np.zeros(1), np.array([True])), np.ones(1)),
             id="SLandscape-bool-axis",
@@ -214,6 +224,26 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
         pytest.param(lambda: s_quantum((1, 2, 3)), id="s_quantum-tuple"),
         pytest.param(lambda: export_surface("x"), id="export_surface-str"),
         pytest.param(lambda: random_ensemble(None), id="random_ensemble-None"),
+        pytest.param(lambda: ClassicalEnsemble(5), id="ClassicalEnsemble-int"),
+        pytest.param(lambda: ClassicalEnsemble.from_weights(5), id="from_weights-int"),
+        pytest.param(lambda: atom_joint("x", PAIR_AB), id="atom_joint-str-state"),
+        # Outcomes are Outcome members, amplitudes real; an equal integer is not an Outcome.
+        pytest.param(lambda: atom_joint(ALL_STATES[0], INT_PAIR), id="atom_joint-int-outcomes"),
+        pytest.param(
+            lambda: ensemble_joint(ClassicalEnsemble.uniform(), INT_PAIR),
+            id="ensemble_joint-int-outcomes",
+        ),
+        pytest.param(lambda: GeneralizedState(1, -1, 1), id="GeneralizedState-int"),
+        pytest.param(lambda: eigenstate(PropertySetting(30), 1), id="eigenstate-int-outcome"),
+        pytest.param(lambda: PureState(0.6, 0.8j), id="PureState-complex"),
+        # Each qubit argument that should be a state, a setting or a projection.
+        pytest.param(lambda: eigenstate("x", Outcome.PLUS), id="eigenstate-str-prop"),
+        pytest.param(lambda: transition_probability(1, 2), id="transition-int-states"),
+        pytest.param(lambda: transition_probability(H, "V"), id="transition-str-state"),
+        pytest.param(lambda: marginal_probability("H", PREP), id="marginal-str-initial"),
+        pytest.param(lambda: marginal_probability(H, 5), id="marginal-int-prep"),
+        pytest.param(lambda: conditional_probability(5, PREP), id="conditional-int-meas"),
+        pytest.param(lambda: conditional_probability(PREP, (PREP,)), id="conditional-short-prep"),
         pytest.param(lambda: parse_surface(True, "json"), id="parse_surface-bool-json"),
         pytest.param(lambda: ExperimentConfig.from_mapping([]), id="from_mapping-list"),
         pytest.param(lambda: ExperimentConfig.from_json("[" * 100_000), id="from_json-deep-list"),
