@@ -399,18 +399,14 @@ def estimate_joint(
 def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbability | None:
     """One joint's estimate, or None when it has no coincidences.
 
-    ``joints`` maps each canonical preparation to what its joints gave, by
-    analyzer: the estimate or its InsufficientStatisticsError's message, so
-    a scan drops one preparation's joints in one step.
+    ``joints`` maps each (canonical preparation, analyzer) to what its joint
+    gave: the estimate or its InsufficientStatisticsError's message.
     ``references`` keeps the zero-angle record per analyzer; any other
     record is dropped once its joint is known.
     """
     meas = float(meas)
     prep = canonical_degrees(prep)
-    row = joints.get(prep)
-    if row is None:
-        row = joints[prep] = {}
-    joint = row.get(meas)
+    joint = joints.get((prep, meas))
     if joint is None:
         reference = references.get(meas)
         if reference is None:
@@ -424,7 +420,7 @@ def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbab
             joint = estimate_joint(record, reference)
         except InsufficientStatisticsError as error:
             joint = str(error)
-        row[meas] = joint
+        joints[prep, meas] = joint
     return None if isinstance(joint, str) else joint
 
 
@@ -455,8 +451,7 @@ def estimate_S(cfg: ExperimentConfig, triple: AngleTriple) -> SEstimate:
     estimate = _witness(cfg, joints, {}, *triple.as_tuple())
     if estimate is None:
         # The witness stops at its first failing joint, the one message cached.
-        messages = (j for row in joints.values() for j in row.values() if isinstance(j, str))
-        raise InsufficientStatisticsError(next(messages))
+        raise InsufficientStatisticsError(next(j for j in joints.values() if isinstance(j, str)))
     return estimate
 
 
@@ -496,9 +491,10 @@ def run_full_scan(
     Every required setting is simulated once and each joint estimated
     once, and results are independent of evaluation order.
 
-    The scan runs row by row.  Beyond its result it holds theta_a's joints,
-    one zero-angle reference per analyzer and the joints of the preparation
-    it is on: memory that grows with the analyzer axis, not the grid.
+    Rows, the profile's too, run sorted by preparation.  Beyond its result
+    the scan holds theta_a's joints, one zero-angle reference per analyzer
+    and the joints of the preparation it is on: memory that grows with the
+    analyzer axis, not the grid.
     """
     cfg = _instance("cfg", cfg, ExperimentConfig)
     theta_a = _number("theta_a", theta_a)
@@ -517,29 +513,17 @@ def run_full_scan(
         [angle for angle in prep_axis if np.any(np.abs(theta_c_axis - angle) < 1e-9)]
     )
 
-    # One pass over the rows, the profile last, so its nodes reuse the
-    # surface's joints and each joint is estimated once.  A profile on
-    # theta_b's axis is a copy of that row.  Joints that prepare at theta_a
-    # serve every row; any other preparation's joints go after the last row
-    # that prepares there (rows 0 and 180 share one preparation).
+    # Rows that prepare alike (0 and 180 among them) run back to back, so
+    # each joint is estimated once though only two preparations' are kept.
     rows = (*theta_b_axis, theta_b_profile)
-    b_nodes = theta_b_axis.tolist()
-    scanned = rows[:-1] if theta_b_profile in b_nodes else rows
-    preps = [canonical_degrees(tb) for tb in scanned]
-    last_row = {prep: i for i, prep in enumerate(preps)}
-    last_row.pop(canonical_degrees(theta_a), None)
+    prep_a = canonical_degrees(theta_a)
     joints, references = {}, {}
-    estimates = []
-    for i, (tb, prep) in enumerate(zip(scanned, preps)):
-        row = [_witness(cfg, joints, references, theta_a, tb, tc) for tc in theta_c_axis]
-        estimates.append(row)
-        if last_row.get(prep) == i:
-            # A row whose head joint (theta_a, tb) is a hole stores none.
-            joints.pop(prep, None)
-    if len(scanned) < len(rows):
-        estimates.append(list(estimates[b_nodes.index(theta_b_profile)]))
+    estimates = [None] * len(rows)
     theory = np.empty((len(rows), theta_c_axis.size))
-    for i, tb in enumerate(rows):
+    for i, tb in sorted(enumerate(rows), key=lambda row: canonical_degrees(row[1])):
+        kept = (prep_a, canonical_degrees(tb))
+        joints = {key: joint for key, joint in joints.items() if key[0] in kept}
+        estimates[i] = [_witness(cfg, joints, references, theta_a, tb, tc) for tc in theta_c_axis]
         theory[i] = [s_quantum(AngleTriple(theta_a, tb, tc)) for tc in theta_c_axis]
 
     return FullScanResult(
@@ -571,7 +555,7 @@ def _estimate_columns(est: SEstimate | None) -> tuple[float, float, float]:
 def _nodes_csv(names: list[str], axes: tuple[np.ndarray, ...], estimates, theory) -> str:
     # One row per node of the axes' product, in row-major order.
     numbers = itertools.chain.from_iterable(
-        (*_estimate_columns(est), value) for est, value in zip(estimates, theory.ravel().tolist())
+        (*_estimate_columns(est), value) for est, value in zip(estimates, theory.flat)
     )
     header = [*names, "s_sim", "std_error", "sigma", "s_theory"]
     return _csv(header, [axis.tolist() for axis in axes], numbers)

@@ -53,6 +53,7 @@ class GeneralizedState:
             _instance(name, getattr(self, name), Outcome)
 
     def outcome_of(self, prop: Property) -> Outcome:
+        prop = _instance("prop", prop, Property)
         return {Property.A: self.alpha, Property.B: self.beta}.get(prop, self.gamma)
 
     def label(self) -> str:
@@ -116,9 +117,6 @@ class ClassicalEnsemble:
         if len(vals) != len(ALL_STATES):
             raise ValueError(f"expected {len(ALL_STATES)} weights, got {len(vals)}")
         return cls(dict(zip(ALL_STATES, vals)))
-
-    def weight_vector(self) -> np.ndarray:
-        return np.array([self.weights[state] for state in ALL_STATES])
 
 
 @dataclass(frozen=True)

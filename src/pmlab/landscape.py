@@ -95,8 +95,8 @@ class SLandscape:
 
     ``axes`` holds the node angles per dimension (length-1 for a fixed
     angle), each node once; ``values`` is flat, row-major over
-    (theta_a, theta_b, theta_c).  All four are 1-D numpy arrays of float
-    dtype, the numbers export_surface writes and parse_surface reads.
+    (theta_a, theta_b, theta_c).  All four are 1-D numpy arrays of float16,
+    float32 or float64, the numbers export_surface writes and parse_surface reads.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -106,10 +106,10 @@ class SLandscape:
         # A dtype check per array, so grid_scan pays nothing per node.
         arrays = (*self.axes, self.values) if isinstance(self.axes, tuple | list) else ()
         if len(arrays) != 4 or not all(
-            isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind == "f"
+            isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.char in "efd"
             for array in arrays
         ):
-            raise ValueError("landscape axes must be three 1-D arrays and values one, all float")
+            raise ValueError("landscape axes must be three 1-D arrays, values one, float64 or less")
         expected = 1
         for name, axis in zip(AXIS_NAMES, self.axes):
             if axis.size == 0 or not np.all(np.isfinite(axis)):
@@ -286,7 +286,9 @@ def _csv(header: list[str], axes: list[list[float]], numbers: Iterable[float]) -
     labels = itertools.product(*(tuple(map(_fmt, axis)) for axis in axes))
     # One iterator repeated: zip groups consecutive cells into a line's tail.
     tails = zip(*[map(_fmt, numbers)] * (len(header) - len(axes)))
-    return "\n".join([",".join(header), *map(",".join, map(tuple.__add__, labels, tails)), ""])
+    lines = itertools.chain([",".join(header)], map(",".join, map(tuple.__add__, labels, tails)))
+    # Blocks of 4096 lines, not a list of every line; the empty block ends it.
+    return "".join(iter(lambda: "\n".join([*itertools.islice(lines, 4096), ""]), ""))
 
 
 def _to_csv(land: SLandscape) -> str:

@@ -633,11 +633,18 @@ class TestRunFullScan:
             # A profile off the grid, and one on it.
             ((6.0, 3.0), 156.0, 125.5, {90.0}),
             ((6.0, 3.0), 156.0, 126.0, {90.0}),
+            # A profile that prepares like rows 0 and 180, and one whose head
+            # joints (theta_a, theta_b) are all holes.
+            ((6.0, 3.0), 156.0, 0.0, {90.0}),
+            ((6.0, 3.0), 90.0, 126.0, {90.0}),
             # 180 is off this grid's axis, but prepares like row 0.  Its 91
             # degree row draws no coincidences at some nodes at seed 3.
             ((7.0, 3.5), 156.0, 180.0, {91.0}),
         ],
-        ids=["a156-b90", "a157-b90", "a0-b125.5", "a156-b125.5", "a156-b126", "7deg-b180"],
+        ids=[
+            "a156-b90", "a157-b90", "a0-b125.5", "a156-b125.5", "a156-b126",
+            "a156-b0", "a90-b126", "7deg-b180",
+        ],
     )
     def test_each_setting_simulated_and_each_joint_estimated_once(
         self, monkeypatch, steps, theta_a, theta_b_profile, failed_preps
@@ -691,7 +698,7 @@ class TestRunFullScan:
         bits = lambda nodes: [e and (e.value.hex(), e.std_error.hex()) for e in nodes]
         assert bits(result.profile) == bits(result.surface[row])
         assert result.profile_theory.tobytes() == result.surface_theory[row].tobytes()
-        # A copy of the row, not the row itself.
+        # A list of its own, not the row itself.
         assert result.profile is not result.surface[row]
         result.profile[0] = "changed"
         assert result.surface[row][0] != "changed"
@@ -732,6 +739,19 @@ class TestSerialization:
         i90 = result.theta_b_axis.tolist().index(90.0)
         row = surface[1 + i90 * n_c].split(",")
         assert row[2] == "nan" and row[3] == "nan"
+
+    def test_csv_peak_is_bounded_by_the_document(self):
+        # The writer joins its lines in blocks, so beside the document it
+        # holds about one more copy of it, not a list of every line.
+        result = run_full_scan(ExperimentConfig(p2_step=2.0, hwp_step=1.0, rng_seed=3))
+        full_scan_surface_csv(result)
+        tracemalloc.start()
+        try:
+            document = full_scan_surface_csv(result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(document)
 
     def test_full_scan_csv_bytes_pinned(self):
         # sha256 recorded with the independent-Poisson sampler.

@@ -214,11 +214,6 @@ class TestClassicalEnsemble:
             assert all(type(w) is float for w in ens.weights.values())
             assert ens.weights[ALL_STATES[0]] == 1.0
 
-    def test_weight_vector_order(self):
-        ens = ClassicalEnsemble.point_mass(ALL_STATES[3])
-        vec = ens.weight_vector()
-        assert vec[3] == 1.0 and vec.sum() == 1.0
-
 
 class TestEnsembleJoint:
     def test_point_mass(self):

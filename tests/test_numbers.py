@@ -205,6 +205,11 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             lambda: SLandscape((np.zeros(1), np.zeros(1), np.array(["0"])), np.ones(1)),
             id="SLandscape-str-axis",
         ),
+        # JSON cannot write a longdouble, so no landscape holds one.
+        pytest.param(
+            lambda: SLandscape((np.zeros(1), np.zeros(1), np.zeros(1)), np.ones(1, np.longdouble)),
+            id="SLandscape-longdouble-values",
+        ),
         pytest.param(lambda: parse_surface("[" * 100_000, "json"), id="parse_surface-json-deep"),
         pytest.param(lambda: parse_surface(None), id="parse_surface-None"),
         # An argument that should be one of the library's records, or a generator.
@@ -234,6 +239,8 @@ LONG_HEADER = "theta_a,theta_b,theta_c,S"
             id="ensemble_joint-int-outcomes",
         ),
         pytest.param(lambda: GeneralizedState(1, -1, 1), id="GeneralizedState-int"),
+        pytest.param(lambda: ALL_STATES[0].outcome_of("a"), id="outcome_of-str"),
+        pytest.param(lambda: ALL_STATES[0].outcome_of(None), id="outcome_of-None"),
         pytest.param(lambda: eigenstate(PropertySetting(30), 1), id="eigenstate-int-outcome"),
         pytest.param(lambda: PureState(0.6, 0.8j), id="PureState-complex"),
         # Each qubit argument that should be a state, a setting or a projection.
