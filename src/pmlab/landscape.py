@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ AXIS_NAMES = ("theta_a", "theta_b", "theta_c")
 CSV_DECIMALS = 6
 _CSV_SPEC = f".{CSV_DECIMALS}f"
 _NEGATIVE_ZERO = f"-{0:{_CSV_SPEC}}"
+#: 256 Ki characters of a CSV document and the rest of that line; the next opens on its newline.
+_BLOCK = re.compile(r".{1,262144}[^\n]*", re.DOTALL)
 #: Number of coarse-grid nodes used to start local refinement.
 DEFAULT_STARTS = 5
 #: Most nodes any one grid may hold; the 1-degree full cube has 181**3.
@@ -278,25 +281,32 @@ def _fmt(x: float) -> str:
 def _csv(header: list[str], axes: list[list[float]], numbers: Iterable[float]) -> str:
     """The one CSV writer: header cells, then one line per node of ``axes``.
 
-    Lines run over the product of ``axes`` in row-major order and start
-    with one cell per axis, each axis value through _fmt once rather than
-    once per line; the next ``len(header) - len(axes)`` of ``numbers``
-    complete the line.
+    Lines run over the product of ``axes`` in row-major order: one cell per
+    axis, each axis value through _fmt once rather than once per line, then
+    the next ``len(header) - len(axes)`` of ``numbers`` to CSV_DECIMALS.
     """
     labels = itertools.product(*(tuple(map(_fmt, axis)) for axis in axes))
+    width = len(header) - len(axes)
     # One iterator repeated: zip groups consecutive cells into a line's tail.
-    tails = zip(*[map(_fmt, numbers)] * (len(header) - len(axes)))
-    lines = itertools.chain([",".join(header)], map(",".join, map(tuple.__add__, labels, tails)))
-    # Blocks of 4096 lines, not a list of every line; the empty block ends it.
-    return "".join(iter(lambda: "\n".join([*itertools.islice(lines, 4096), ""]), ""))
+    tails = zip(*[iter(numbers)] * width)
+    # One template a line: the labels as _fmt wrote them, then the numbers.
+    line = ",".join(["%s"] * len(axes) + [f"%{_CSV_SPEC}"] * width).__mod__
+    lines = itertools.chain([",".join(header)], map(line, map(tuple.__add__, labels, tails)))
+    # Blocks of 4096 lines, not a list of every line, each rid of -0.000000
+    # at once (a number never starts a line); the empty block ends it.
+    block = lambda: "\n".join([*itertools.islice(lines, 4096), ""])
+    signed = "," + _NEGATIVE_ZERO
+    return "".join(iter(lambda: block().replace(signed, "," + _NEGATIVE_ZERO[1:]), ""))
 
 
 def _to_csv(land: SLandscape) -> str:
     free = [i for i, axis in enumerate(land.axes) if axis.size > 1]
-    values = land.values.tolist()
+    # Python floats a slice at a time, not a list of every value.
+    values = itertools.chain.from_iterable(
+        land.values[i : i + 4096].tolist() for i in range(0, land.values.size, 4096)
+    )
     if len(free) == 1:
-        (i,) = free
-        return _csv([AXIS_NAMES[i], "S"], [land.axes[i].tolist()], values)
+        return _csv([AXIS_NAMES[free[0]], "S"], [land.axes[free[0]].tolist()], values)
     if len(free) == 2:
         row_axis, col_axis = (land.axes[i].tolist() for i in free)
         header = [f"{AXIS_NAMES[free[0]]}/{AXIS_NAMES[free[1]]}", *map(_fmt, col_axis)]
@@ -332,14 +342,16 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
 
     The 1-D and 2-D CSV layouts do not record the angles of the fixed
     axes, so those come back as single zero nodes; values and free axes
-    round-trip exactly at the written precision.  A CSV document that is
-    empty, has a header export_surface does not write, has no data rows,
-    has rows whose cell count differs from the header's, or has long rows
-    whose angles are not the row-major product of their axes (each read in
-    order of first appearance) raises ValueError, as do a JSON document
-    that is not an object holding three axis lists and a values list, all
-    of numbers, or that nests too deeply to parse; a document in any layout
-    with an axis that lists a node twice; and a document that is not a string.
+    round-trip exactly at the written precision.  CSV rows are read about
+    256 KiB at a time, and the arrays returned own their data.  A CSV
+    document that is empty, has a header export_surface does not write,
+    has no data rows, has rows whose cell count differs from the header's,
+    or has long rows whose angles are not the row-major product of their
+    axes (each read in order of first appearance) raises ValueError, as do
+    a JSON document that is not an object holding three axis lists and a
+    values list, all of numbers, or that nests too deeply to parse; a
+    document in any layout with an axis that lists a node twice; and a
+    document that is not a string.
     """
     if not isinstance(document, str):
         raise ValueError(f"surface document must be a string, got {type(document).__name__}")
@@ -360,10 +372,11 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
 
-    header_line, _, rows = document.lstrip("\n").partition("\n")
+    head = re.match(r"\n*([^\n]*)\n?", document)
+    header_line, rows = head[1], head.end()
     if not header_line:
         raise ValueError("CSV surface document is empty")
-    if not rows or rows.isspace():
+    if re.compile(r"\s*\Z").match(document, rows):
         raise ValueError("CSV surface document has a header but no data rows")
     header = header_line.split(",")
     name = header[0]
@@ -374,10 +387,11 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
     matrix = len(header) > 1 and name in pairs
     if not (long or matrix or header == [name, "S"] and name in AXIS_NAMES):
         raise ValueError(f"CSV surface header {header_line!r} is not one export_surface writes")
-    # numpy's C reader parses each cell to the same double as float().  A
-    # list of lines peaks lower than a StringIO, which holds 4 bytes a
-    # character; loadtxt skips the blank last line.
-    body = np.loadtxt(rows.split("\n"), delimiter=",", comments=None, ndmin=2)
+    # numpy's C reader parses each cell to the same double as float() and
+    # skips blank lines.  One call reads every row, so its messages count rows
+    # as the document does, but it is handed one _BLOCK's lines at a time.
+    lines = (block[0].split("\n") for block in _BLOCK.finditer(document, rows))
+    body = np.loadtxt(itertools.chain.from_iterable(lines), delimiter=",", comments=None, ndmin=2)
     if body.shape[1] != len(header):
         raise ValueError(f"CSV rows have {body.shape[1]} cells, the header has {len(header)}")
     axes = [np.zeros(1)] * 3
@@ -402,8 +416,9 @@ def parse_surface(document: str, format: str = "csv") -> SLandscape:
         row_name, col_name = name.split("/")
         axes[AXIS_NAMES.index(row_name)] = body[:, 0]
         axes[AXIS_NAMES.index(col_name)] = np.array([float(cell) for cell in header[1:]])
-        values = body[:, 1:].ravel(order="C")
+        values = body[:, 1:]
     else:
         axes[AXIS_NAMES.index(name)] = body[:, 0]
         values = body[:, 1]
-    return SLandscape(axes=tuple(axes), values=values)
+    # Copies that own their data, so the landscape does not keep body alive.
+    return SLandscape(axes=tuple(axis.copy() for axis in axes), values=values.flatten())

@@ -3,9 +3,11 @@
 Grid expectations were frozen from an independent enumeration of the
 closed form at the quoted nodes.
 """
+import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -416,6 +418,34 @@ def landscapes(draw):
     return SLandscape(tuple(axes), np.array(values, dtype=values_dtype))
 
 
+@functools.cache
+def cube_lines() -> tuple[str, ...]:
+    """The lines of the 4-degree cube's CSV: 97,337 of them, about 3.75 MiB."""
+    grid = ScanGrid.full_range(4.0)
+    return tuple(export_surface(grid_scan(grid, grid, grid), "csv").split("\n"))
+
+
+#: A line of the 4-degree cube that lies past parse_surface's first block.
+LATE = 20_000
+
+
+def cube_with(late: str) -> str:
+    """The 4-degree cube's CSV with line ``LATE`` (data row ``LATE - 1``) replaced."""
+    lines = cube_lines()
+    assert len("\n".join(lines[:LATE])) > 1 << 18
+    return "\n".join([*lines[:LATE], late, *lines[LATE + 1 :]])
+
+
+def peak_of(call):
+    """The call's result and tracemalloc's peak while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParse:
     @settings(max_examples=200, deadline=None)
     @given(land=landscapes())
@@ -494,6 +524,17 @@ class TestParse:
             ("theta_c,S\ninfinity,2\n", "axes must be non-empty and finite"),
             ("theta_c,S\n1e400,2\n", "axes must be non-empty and finite"),
             ("theta_b/theta_c,nan\n0.0,0.5\n", "axes must be non-empty and finite"),
+            # Past the first block, named by the row numpy counts in the document.
+            pytest.param(
+                cube_with(cube_lines()[LATE].rsplit(",", 1)[0]),
+                f"number of columns changed from 4 to 3 at row {LATE}",
+                id="ragged-row-past-the-first-block",
+            ),
+            pytest.param(
+                cube_with(cube_lines()[LATE].rsplit(",", 1)[0] + ",#0.5"),
+                f"could not convert string '#0.5' to float64 at row {LATE - 1}, column 4",
+                id="bad-cell-past-the-first-block",
+            ),
         ],
     )
     def test_malformed_csv_is_a_value_error_without_warnings(self, document, message):
@@ -501,6 +542,32 @@ class TestParse:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 parse_surface(document, "csv")
+
+    def test_blank_lines_past_the_first_block_are_skipped(self):
+        # Three blocks' worth of newlines, so at least one block holds no row.
+        document = cube_with("\n" * (3 << 18) + cube_lines()[LATE])
+        expected = parse_surface("\n".join(cube_lines()), "csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = parse_surface(document, "csv")
+        for array, original in zip(parsed.axes, expected.axes):
+            assert same_bits(array, original)
+        assert same_bits(parsed.values, expected.values)
+
+    @pytest.mark.parametrize("layout", ["1d", "2d", "cube"])
+    def test_parsed_arrays_own_their_data(self, layout):
+        # Views would keep the whole parse buffer alive with the landscape.
+        grid = ScanGrid.full_range(30.0)
+        axes = {"1d": (156.0, 126.0, grid), "2d": (156.0, grid, grid), "cube": (grid,) * 3}
+        parsed = parse_surface(export_surface(grid_scan(*axes[layout]), "csv"), "csv")
+        assert all(array.base is None for array in (*parsed.axes, parsed.values))
+
+    def test_parse_peak_is_bounded_by_the_document(self):
+        # Lines a block at a time, not a list of every line beside a copy of the rows.
+        document = "\n".join(cube_lines())
+        parse_surface(document, "csv")
+        _, peak = peak_of(lambda: parse_surface(document, "csv"))
+        assert peak <= 2.5 * len(document)
 
     @pytest.mark.parametrize(
         "document,message",
@@ -549,6 +616,14 @@ class TestExport:
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "357f5357f5c0bd898020d1dba36486467ab3366428700b378291a1ab018ea5d4"
         )
+
+    def test_export_peak_is_bounded_by_the_document(self):
+        # Values and lines a block at a time, not a list of every value.
+        grid = ScanGrid.full_range(4.0)
+        land = grid_scan(grid, grid, grid)
+        export_surface(land, "csv")
+        document, peak = peak_of(lambda: export_surface(land, "csv"))
+        assert peak <= 2.3 * len(document)
 
     def test_one_dimensional_csv(self):
         land = grid_scan(156.0, 126.0, ScanGrid.full_range(6.0))
