@@ -5,108 +5,12 @@ feasibility fitting, witness-landscape scanning and minimization, and a
 seeded virtual photon-counting bench.
 """
 
-from .bench import (
-    ConfigError,
-    CountRecord,
-    EstimatedProbability,
-    ExperimentConfig,
-    FullScanResult,
-    InsufficientStatisticsError,
-    SEstimate,
-    Setting,
-    accidental_estimate,
-    estimate_S,
-    estimate_joint,
-    run_full_scan,
-    simulate_setting,
-)
-from .classical import (
-    ALL_STATES,
-    ClassicalEnsemble,
-    GeneralizedState,
-    JointTriple,
-    Property,
-    atom_joint,
-    classical_bound_holds,
-    ensemble_joint,
-    enumerate_vertices,
-    fit_classical,
-    joint_triple,
-    random_ensemble,
-    s_classical,
-)
-from .landscape import (
-    AngleTriple,
-    Optimum,
-    ScanGrid,
-    SLandscape,
-    export_surface,
-    grid_scan,
-    minimize_s,
-    parse_surface,
-    s_quantum,
-)
-from .qubit import (
-    H,
-    V,
-    Outcome,
-    PropertySetting,
-    PureState,
-    canonical_degrees,
-    conditional_probability,
-    eigenstate,
-    joint_probability,
-    marginal_probability,
-    transition_probability,
-)
+from . import bench, classical, landscape, qubit
+from .bench import *  # noqa: F403
+from .classical import *  # noqa: F403
+from .landscape import *  # noqa: F403
+from .qubit import *  # noqa: F403
 
-__all__ = [
-    "ALL_STATES",
-    "AngleTriple",
-    "ClassicalEnsemble",
-    "ConfigError",
-    "CountRecord",
-    "EstimatedProbability",
-    "ExperimentConfig",
-    "FullScanResult",
-    "GeneralizedState",
-    "H",
-    "InsufficientStatisticsError",
-    "JointTriple",
-    "Optimum",
-    "Outcome",
-    "Property",
-    "PropertySetting",
-    "PureState",
-    "ScanGrid",
-    "SEstimate",
-    "SLandscape",
-    "Setting",
-    "V",
-    "accidental_estimate",
-    "atom_joint",
-    "canonical_degrees",
-    "classical_bound_holds",
-    "conditional_probability",
-    "eigenstate",
-    "ensemble_joint",
-    "enumerate_vertices",
-    "estimate_S",
-    "estimate_joint",
-    "export_surface",
-    "fit_classical",
-    "grid_scan",
-    "joint_probability",
-    "joint_triple",
-    "marginal_probability",
-    "minimize_s",
-    "parse_surface",
-    "random_ensemble",
-    "run_full_scan",
-    "s_classical",
-    "s_quantum",
-    "simulate_setting",
-    "transition_probability",
-]
+__all__ = [*bench.__all__, *classical.__all__, *landscape.__all__, *qubit.__all__]
 
 __version__ = "0.1.0"

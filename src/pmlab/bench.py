@@ -33,6 +33,22 @@ from .qubit import (
     marginal_probability,
 )
 
+__all__ = [
+    "ConfigError",
+    "CountRecord",
+    "EstimatedProbability",
+    "ExperimentConfig",
+    "FullScanResult",
+    "InsufficientStatisticsError",
+    "SEstimate",
+    "Setting",
+    "accidental_estimate",
+    "estimate_S",
+    "estimate_joint",
+    "run_full_scan",
+    "simulate_setting",
+]
+
 
 #: Largest mean count the bench draws, a ninth of what numpy's sampler takes.
 _MAX_MEAN = 1e18
@@ -253,22 +269,18 @@ class _Stream(threading.local):
     """
 
     def __init__(self) -> None:
-        self.counter = [0, 0, 0, 0]
-        self.state = {
+        self.rng = np.random.Generator(np.random.Philox(key=0))
+
+    def keyed(self, seed: int, setting: Setting) -> np.random.Generator:
+        counter = [0, 0, round(setting.theta_prep * 1e6), round(setting.hwp_angle * 1e6)]
+        self.rng.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": self.counter, "key": (0, 0)},
+            "state": {"counter": counter, "key": _philox_key(seed)},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.rng = np.random.Generator(np.random.Philox(key=0))
-
-    def keyed(self, seed: int, setting: Setting) -> np.random.Generator:
-        self.counter[2] = round(setting.theta_prep * 1e6)
-        self.counter[3] = round(setting.hwp_angle * 1e6)
-        self.state["state"]["key"] = _philox_key(seed)
-        self.rng.bit_generator.state = self.state
         return self.rng
 
 

@@ -22,6 +22,22 @@ from scipy.optimize import linprog
 
 from .qubit import Outcome, _instance, _number
 
+__all__ = [
+    "ALL_STATES",
+    "ClassicalEnsemble",
+    "GeneralizedState",
+    "JointTriple",
+    "Property",
+    "atom_joint",
+    "classical_bound_holds",
+    "ensemble_joint",
+    "enumerate_vertices",
+    "fit_classical",
+    "joint_triple",
+    "random_ensemble",
+    "s_classical",
+]
+
 #: Ensemble weights must sum to one this tightly.
 WEIGHT_SUM_ATOL = 1e-9
 #: Slack allowed when checking the bound on a probability triple.

@@ -21,6 +21,18 @@ import numpy as np
 
 from .qubit import _instance, _number, canonical_degrees
 
+__all__ = [
+    "AngleTriple",
+    "Optimum",
+    "ScanGrid",
+    "SLandscape",
+    "export_surface",
+    "grid_scan",
+    "minimize_s",
+    "parse_surface",
+    "s_quantum",
+]
+
 AXIS_NAMES = ("theta_a", "theta_b", "theta_c")
 #: Fractional digits written by the CSV exporter.
 CSV_DECIMALS = 6

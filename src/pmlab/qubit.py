@@ -15,6 +15,20 @@ import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+__all__ = [
+    "H",
+    "V",
+    "Outcome",
+    "PropertySetting",
+    "PureState",
+    "canonical_degrees",
+    "conditional_probability",
+    "eigenstate",
+    "joint_probability",
+    "marginal_probability",
+    "transition_probability",
+]
+
 # Pure double-precision arithmetic throughout, so identities hold to
 # round-off and nothing looser is ever needed.
 PROBABILITY_ATOL = 1e-12

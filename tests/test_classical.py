@@ -409,6 +409,18 @@ class TestFitClassical:
         # as feasible: (6e-8, 1, 0) lies 3e-8 outside and the LP reports 0.
         assert abs(result.fun - distance) <= 1e-12 or (result.fun == 0.0 and distance <= 1e-7)
 
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 5e-8, 1e-7, 1e-6, 1e-4])
+    @triples_near_the_polytope
+    def test_refit_reproduces_the_triple_to_the_documented_bound(self, tolerance, triple):
+        # Outside the hull but within tolerance, the LP lands up to tolerance
+        # away; inside it, up to HiGHS's 1e-7 primal feasibility tolerance.
+        t = JointTriple(*triple)
+        ens = fit_classical(t, tolerance)
+        if ens is not None:
+            refit = joint_triple(ens)
+            deviations = (refit.p_ab - t.p_ab, refit.p_bc - t.p_bc, refit.p_ac - t.p_ac)
+            assert max(map(abs, deviations)) <= max(tolerance, 1e-7)
+
     def test_infeasible_triples_never_reach_the_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
             raise AssertionError("linprog called")

@@ -5,6 +5,7 @@ for) that is not a bool and is finite as a float; anything else raises
 ValueError at the boundary, before any work is done.
 """
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -393,6 +394,28 @@ def test_every_public_name_is_classified():
     numeric = {name.split(".")[0] for name in NUMERIC}
     assert numeric.isdisjoint(NOT_NUMERIC)
     assert numeric | NOT_NUMERIC == set(pmlab.__all__)
+
+
+#: The modules whose ``__all__`` lists pmlab re-exports.
+API_MODULES = (pmlab.bench, pmlab.classical, pmlab.landscape, pmlab.qubit)
+
+
+@pytest.mark.parametrize("module", API_MODULES, ids=lambda module: module.__name__)
+def test_module_lists_only_what_it_defines(module):
+    for name in module.__all__:
+        value = getattr(module, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == module.__name__, name
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(module.__all__)
+
+
+def test_module_lists_partition_the_package_list():
+    names = [name for module in API_MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(pmlab.__all__)
 
 
 #: Entry points that document InsufficientStatisticsError for valid input.
