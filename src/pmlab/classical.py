@@ -7,8 +7,11 @@ for such ensembles, checks the bound they must obey, verifies the bound by
 vertex enumeration, and decides whether a given probability triple is
 reachable classically at all.  The decision is the triple's closed-form
 distance from the polytope the eight assignments span; a linear program
-runs only to build an ensemble for a triple within tolerance.  The witness
-kernel also takes one weight array per assignment, scoring many ensembles.
+runs only to build an ensemble for a triple within tolerance.  The LP's
+constant arrays are built at import, but ``scipy.optimize`` loads only on
+the first such fit, so a process that never builds an ensemble never pays
+for it.  The witness kernel also takes one weight array per assignment,
+scoring many ensembles.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from enum import Enum
 from collections.abc import Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy
 
 from .qubit import Outcome, _instance, _number
 
@@ -265,17 +268,20 @@ def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> Classical
     noise on estimated inputs); a triple farther out returns None at once.
     For a triple within tolerance, a linear program over the eight weights,
     fixed at import with only its target changing per call, builds the
-    ensemble; re-evaluating the triple from it reproduces the input to
-    ``tolerance`` or to the solver's 1e-7 feasibility tolerance, whichever
-    is larger.  ``tolerance`` must be a finite non-negative number and
-    ``t`` a JointTriple, else ValueError.
+    ensemble through HiGHS.  The first such call imports ``scipy.optimize``
+    (about half a second), which no other path loads.  Re-evaluating the
+    triple from the ensemble reproduces the input to ``tolerance`` or to
+    the solver's 1e-7 feasibility tolerance, whichever is larger.
+    ``tolerance`` must be a finite non-negative number and ``t`` a
+    JointTriple, else ValueError.
     """
     tolerance = _number("tolerance", tolerance, 0.0)
     t = _instance("t", t, JointTriple)
     if max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0) > tolerance:
         return None
     target = np.array([t.p_ab, t.p_bc, t.p_ac])
-    result = linprog(
+    # SciPy's package __getattr__ imports scipy.optimize on first access.
+    result = scipy.optimize.linprog(
         _LP_COST,
         A_ub=_LP_A_UB,
         b_ub=np.concatenate([target, -target]),

@@ -218,7 +218,3 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_NO_STATS)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", EXIT_IO)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -339,8 +339,14 @@ def export_surface(land: SLandscape, format: str = "csv") -> str:
     """
     land = _instance("land", land, SLandscape)
     if format == "json":
-        axes = [axis.tolist() for axis in land.axes]
-        return json.dumps({"axes": axes, "values": land.values.tolist()}) + "\n"
+        axes = json.dumps([axis.tolist() for axis in land.axes])
+        # Values a slice at a time, as json.dumps would space them, not a
+        # Python float and a fragment per value all at once.
+        cells = (
+            ("" if i == 0 else ", ") + json.dumps(land.values[i : i + 4096].tolist())[1:-1]
+            for i in range(0, land.values.size, 4096)
+        )
+        return "".join(['{"axes": ', axes, ', "values": [', *cells, "]}\n"])
     if format != "csv":
         raise ValueError(f"unknown export format: {format!r}")
     for name, axis in zip(AXIS_NAMES, land.axes):

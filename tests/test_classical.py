@@ -425,7 +425,7 @@ class TestFitClassical:
         def no_lp(*args, **kwargs):
             raise AssertionError("linprog called")
 
-        monkeypatch.setattr("pmlab.classical.linprog", no_lp)
+        monkeypatch.setattr("scipy.optimize.linprog", no_lp)
         triples = [JointTriple(*triple) for triple in FIT_PIN_TRIPLES]
         infeasible = [t for t in triples if closed_form_distance(t) > FIT_TOLERANCE]
         assert len(infeasible) == 26

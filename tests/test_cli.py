@@ -3,8 +3,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +510,43 @@ class TestFloatFlags:
         assert [str(w.message) for w in caught] == []
         if not all(math.isfinite(value) for value in values):
             assert code == 2
+
+
+# Run in a fresh interpreter: this test process already holds scipy.optimize.
+LAZY_LP_SCRIPT = """
+import contextlib, io, sys
+from pmlab import cli
+from pmlab.classical import JointTriple, fit_classical
+
+config, out = sys.argv[1:]
+assert "scipy.optimize" not in sys.modules, "imported by pmlab.cli"
+runs = [
+    (["optimize", "--step", "30"], 0),
+    (["scan", "--step", "30"], 0),
+    (["simulate"], 0),
+    (["classical-verify", "--samples", "10"], 0),
+    (["full-scan", "--config", config, "--out", out], 0),
+    (["fit", "--p-ab", "0.2582", "--p-bc", "0.1576", "--p-ac", "0.8190"], 4),
+]
+for argv, expected in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == expected, (argv, code)
+    assert "scipy.optimize" not in sys.modules, f"imported by {argv[0]}"
+fit_classical(JointTriple(0.3, 0.2, 0.4))
+assert "scipy.optimize" in sys.modules, "not imported by a feasible fit"
+"""
+
+
+def test_only_a_feasible_fit_imports_the_lp(tmp_path):
+    config = tmp_path / "coarse.json"
+    config.write_text(
+        ExperimentConfig.ideal(5e4, rng_seed=11, p2_step=30.0, hwp_step=15.0).to_json(),
+        encoding="utf-8",
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_LP_SCRIPT, str(config), str(tmp_path / "scan_out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

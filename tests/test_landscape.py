@@ -274,6 +274,15 @@ class TestMinimizeS:
             opt = minimize_s(ScanGrid.full_range(step), tolerance=0.01)
             assert opt.s_min == pytest.approx(reference.s_min, abs=1e-3)
 
+    def test_default_seed_grid(self):
+        # No seed grid is the 6-degree full range, at the default tolerance.
+        opt = minimize_s()
+        assert opt.evaluations == 1737
+        assert opt.s_min == pytest.approx(-0.40343118872086664, abs=1e-12)
+        targets = ((157.02, 123.50, 77.55), (22.98, 56.50, 102.45))
+        for candidate, target in zip(opt.candidates, targets, strict=True):
+            assert candidate.as_tuple() == pytest.approx(target, abs=0.01)
+
     def test_degenerate_seed_grid(self):
         opt = minimize_s(ScanGrid(0.0, 0.0, 6.0), tolerance=0.01)
         assert opt.s_min <= 0.0
@@ -623,6 +632,14 @@ class TestExport:
         land = grid_scan(grid, grid, grid)
         export_surface(land, "csv")
         document, peak = peak_of(lambda: export_surface(land, "csv"))
+        assert peak <= 2.3 * len(document)
+
+    def test_json_export_peak_is_bounded_by_the_document(self):
+        # Values a slice at a time, not a Python float and a fragment per value.
+        grid = ScanGrid.full_range(4.0)
+        land = grid_scan(grid, grid, grid)
+        export_surface(land, "json")
+        document, peak = peak_of(lambda: export_surface(land, "json"))
         assert peak <= 2.3 * len(document)
 
     def test_one_dimensional_csv(self):
