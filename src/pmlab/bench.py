@@ -298,11 +298,11 @@ def simulate_setting(cfg: ExperimentConfig, setting: Setting) -> CountRecord:
     photon categories the record needs are independent Poisson counts,
     drawn in this order: trigger and d1 (mean ``N e3 p q e1``), trigger and
     d2 (``N e3 p (1 - q) e2``), trigger and neither (the trigger's
-    remainder), then d1 and d2 without a trigger (``1 - e3`` for ``e3``).
-    Only trigger-seen photons can coincide.  Dark counts, drawn next, land
-    on every detector and pair with trigger singles at the accidental
-    cross-rate within the coincidence window.  Identical (config, setting)
-    pairs yield bit-identical records.
+    remainder), d1 and d2 without a trigger (``1 - e3`` for ``e3``), then
+    the dark counts of d1, d2 and the trigger.  Only trigger-seen photons
+    can coincide.  The accidentals, drawn last, pair each dark count with
+    the trigger singles at the cross-rate within the coincidence window.
+    Identical (config, setting) pairs yield bit-identical records.
     """
     cfg = _instance("cfg", cfg, ExperimentConfig)
     setting = _instance("setting", setting, Setting)
@@ -321,17 +321,15 @@ def simulate_setting(cfg: ExperimentConfig, setting: Setting) -> CountRecord:
     to_none = max(1.0 - to_d1 - to_d2, 0.0)
     triggered = cfg.heralded_rate * duration * cfg.eff_d3
     untriggered = cfg.heralded_rate * duration * (1.0 - cfg.eff_d3)
-    trig_d1, trig_d2, trig_none = (rng.poisson(triggered * f) for f in (to_d1, to_d2, to_none))
-    rest_d1, rest_d2 = (rng.poisson(untriggered * f) for f in (to_d1, to_d2))
+    means = (
+        triggered * to_d1, triggered * to_d2, triggered * to_none,
+        untriggered * to_d1, untriggered * to_d2,
+        cfg.dark_rate_d1 * duration, cfg.dark_rate_d2 * duration, cfg.dark_rate_d3 * duration,
+    )  # fmt: skip
+    trig_d1, trig_d2, trig_none, rest_d1, rest_d2, dark1, dark2, dark3 = map(rng.poisson, means)
     n_trig = trig_d1 + trig_d2 + trig_none
-
-    dark1 = rng.poisson(cfg.dark_rate_d1 * duration)
-    dark2 = rng.poisson(cfg.dark_rate_d2 * duration)
-    dark3 = rng.poisson(cfg.dark_rate_d3 * duration)
-
     acc_scale = cfg.coincidence_window / duration
-    acc_13 = rng.poisson(dark1 * n_trig * acc_scale)
-    acc_23 = rng.poisson(dark2 * n_trig * acc_scale)
+    acc_13, acc_23 = (rng.poisson(dark * n_trig * acc_scale) for dark in (dark1, dark2))
 
     return CountRecord(
         singles_d1=trig_d1 + rest_d1 + dark1,
@@ -372,11 +370,13 @@ def estimate_joint(
 ) -> EstimatedProbability:
     """Joint-probability estimate from a record and its zero-angle reference.
 
-    The conditional fraction comes from the record's coincidence split;
-    the preparation marginal from the ratio of total coincidences against
-    the reference, taken with the polarizer at 0 degrees (where the
-    horizontal input passes untouched) and the same analyzer setting.
-    Errors: binomial for the fraction, Poisson for the ratio, combined in
+    The joint is the record's minus-port coincidences over the total
+    coincidences of the reference, taken with the polarizer at 0 degrees
+    (where the horizontal input passes untouched) and the same analyzer
+    setting: ``v = c13 / total_ref``, the chain rule's conditional fraction
+    times marginal with the record's total cancelled.  Its error, the
+    ratio's first-order Poisson error ``sqrt(v (1 + v) / total_ref)``,
+    equals the fraction's binomial and the marginal's Poisson errors in
     quadrature.
 
     No accidental subtraction happens by default; pass the coincidence
@@ -399,13 +399,8 @@ def estimate_joint(
             f"no coincidences to estimate from (record {total}, reference {total_ref})"
         )
 
-    conditional = c13 / total
-    marginal = total / total_ref
-    se_cond = math.sqrt(conditional * (1.0 - conditional) / total)
-    se_marg = marginal * math.sqrt(1.0 / total + 1.0 / total_ref)
-    value = conditional * marginal
-    std_error = math.sqrt((marginal * se_cond) ** 2 + (conditional * se_marg) ** 2)
-    return EstimatedProbability(value=value, std_error=std_error)
+    value = c13 / total_ref
+    return EstimatedProbability(value=value, std_error=math.sqrt(value * (1.0 + value) / total_ref))
 
 
 def _joint(cfg, joints, references, prep: float, meas: float) -> EstimatedProbability | None:

@@ -12,7 +12,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 __all__ = [
@@ -101,20 +101,22 @@ class PropertySetting:
 
     ``orientation`` is a polarizer angle in degrees, stored canonically in
     [0, 180).  The -1 eigenstate lies along the orthogonal direction, 90
-    degrees away; both are built once, with the setting, and held for
+    degrees away; both are built on first use and held for
     :func:`eigenstate`.
     """
 
     orientation: float
-    _eigenstates: tuple[PureState, PureState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         degrees = canonical_degrees(_number("orientation", self.orientation))
         object.__setattr__(self, "orientation", degrees)
-        theta = math.radians(degrees)
-        plus = PureState(math.cos(theta), math.sin(theta))
-        minus = PureState(math.sin(theta), -math.cos(theta))
-        object.__setattr__(self, "_eigenstates", (plus, minus))
+
+    @functools.cached_property
+    def _eigenstates(self) -> tuple[PureState, PureState]:
+        # Not a field, so dataclasses.fields and asdict see the orientation only.
+        theta = math.radians(self.orientation)
+        cos, sin = math.cos(theta), math.sin(theta)
+        return PureState(cos, sin), PureState(sin, -cos)
 
     @classmethod
     def at(cls, degrees: float) -> "PropertySetting":

@@ -434,6 +434,40 @@ class TestEstimateJoint:
         assert corrected.value == pytest.approx(raw.value, abs=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@example(case="independent", counts=(7, 3, 900, 100, 0, 0), window=1e-9)
+@example(case="self-referenced", counts=(1, 10**9, 10**9, 1, 0, 0), window=1e-9)
+@example(case="subtracted", counts=(5000, 5000, 6000, 4000, 1000, 1000), window=1e-3)
+@given(
+    case=st.sampled_from(["independent", "self-referenced", "subtracted"]),
+    counts=st.tuples(*[st.integers(1, 10**9)] * 4, *[st.integers(0, 10**6)] * 2),
+    window=st.floats(1e-12, 1e-6),
+)
+def test_joint_is_the_count_ratio_with_its_poisson_error(case, counts, window):
+    # The record's minus-port coincidences over the reference's total, with
+    # the first-order Poisson error of that ratio.  Through the module, so a
+    # patched estimator is the one checked.
+    c13, c23, ref13, ref23, singles, trigger = counts
+    reference = CountRecord(singles, singles, trigger, ref13, ref23, Setting(0.0, 25.0), 1.0)
+    record = CountRecord(singles, singles, trigger, c13, c23, Setting(30.0, 25.0), 1.0)
+    if case == "self-referenced":
+        record, (c13, c23) = reference, (ref13, ref23)
+    subtract_window = window if case == "subtracted" else None
+    if subtract_window is not None:
+        accidental = singles * trigger * window
+        counts = (c13, c23, ref13, ref23)
+        c13, c23, ref13, ref23 = (max(count - accidental, 0.0) for count in counts)
+    total_ref = ref13 + ref23
+    if c13 + c23 <= 0 or total_ref <= 0:
+        with pytest.raises(InsufficientStatisticsError):
+            bench.estimate_joint(record, reference, subtract_window)
+        return
+    est = bench.estimate_joint(record, reference, subtract_window)
+    assert est.value == c13 / total_ref
+    expected = math.sqrt(c13 / total_ref**2 + c13**2 / total_ref**3)
+    assert math.isclose(est.std_error, expected, rel_tol=1e-14)
+
+
 class TestSEstimate:
     def test_sigma_violation_zero_for_non_negative(self):
         assert SEstimate(value=0.2, std_error=0.1).sigma_violation == 0.0

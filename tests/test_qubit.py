@@ -5,6 +5,7 @@ Expected probabilities are frozen from the closed trigonometric forms
 never uses directly: it works through eigenvector overlaps, so the two
 routes check each other.
 """
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -128,6 +129,10 @@ class TestTypes:
         )
         assert prop == PropertySetting.at(20.0) and prop is not PropertySetting.at(20.0)
         assert repr(prop) == "PropertySetting(orientation=20.0)"
+
+    def test_cached_eigenstates_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(PropertySetting)] == ["orientation"]
+        assert dataclasses.asdict(PropertySetting.at(30.0)) == {"orientation": 30.0}
 
     @pytest.mark.parametrize("degrees", [5.0, 20, np.float64(200.0), -160.0])
     def test_constructor_takes_degrees_as_a_float(self, degrees):
