@@ -6,12 +6,12 @@ possible assignments.  This module evaluates pairwise joint probabilities
 for such ensembles, checks the bound they must obey, verifies the bound by
 vertex enumeration, and decides whether a given probability triple is
 reachable classically at all.  The decision is the triple's closed-form
-distance from the polytope the eight assignments span; a linear program
-runs only to build an ensemble for a triple within tolerance.  The LP's
-constant arrays are built at import, but ``scipy.optimize`` loads only on
-the first such fit, so a process that never builds an ensemble never pays
-for it.  The witness kernel also takes one weight array per assignment,
-scoring many ensembles.
+distance from the polytope the eight assignments span.  A triple within
+tolerance is moved onto the polytope, and one non-negative least-squares
+solve builds its ensemble, exact to that distance.  The solve's matrix is
+built at import, but ``scipy.optimize`` loads only on the first such fit,
+so a process that never builds an ensemble never pays for it.  The witness
+kernel also takes one weight array per assignment, scoring many ensembles.
 """
 from __future__ import annotations
 
@@ -241,19 +241,26 @@ def enumerate_vertices() -> list[tuple[GeneralizedState, float]]:
     return [(state, s_classical(ClassicalEnsemble.point_mass(state))) for state in ALL_STATES]
 
 
-# The fit's LP, over the eight weights and the worst-case deviation d:
-# minimize d subject to -d <= (indicator row . weights) - target <= d for
-# each pair and weights summing to 1, every variable at linprog's default
-# bounds [0, inf).  Only the target, which enters b_ub alone, varies.
-_LP_COST = np.array([0.0] * len(ALL_STATES) + [1.0])
-_LP_A_UB = np.array(
+# The fit's linear system over the eight weights: one indicator row per
+# pair, then the all-ones row that makes the weights sum to 1.
+_FIT_MATRIX = np.array(
     [
-        [sign * (i in matches) for i in range(len(ALL_STATES))] + [-1.0]
-        for sign in (1.0, -1.0)
-        for matches in (_MATCH_AB, _MATCH_BC, _MATCH_AC)
+        [float(i in matches) for i in range(len(ALL_STATES))]
+        for matches in (_MATCH_AB, _MATCH_BC, _MATCH_AC, range(len(ALL_STATES)))
     ]
 )
-_LP_A_EQ = np.array([[1.0] * len(ALL_STATES) + [0.0]])
+_TINY = np.finfo(float).tiny
+
+
+def _onto_hull(t: JointTriple) -> tuple[float, list[float]]:
+    # d(t), and the hull point d(t) away on the one facet t violates, if
+    # any.  None violates both: p_ac > p_ab + p_bc > 1 needs p_ac > 1.
+    over_ac, over_sum = (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0
+    if over_ac > 0.0:
+        return over_ac, [t.p_ab + over_ac, t.p_bc + over_ac, t.p_ac - over_ac]
+    if over_sum > 0.0:
+        return over_sum, [t.p_ab - over_sum, t.p_bc - over_sum, t.p_ac]
+    return 0.0, [t.p_ab, t.p_bc, t.p_ac]
 
 
 def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> ClassicalEnsemble | None:
@@ -266,31 +273,23 @@ def fit_classical(t: JointTriple, tolerance: float = FIT_TOLERANCE) -> Classical
     ``d(t) = max(0, (p_ac - p_ab - p_bc)/3, (p_ab + p_bc - 1)/2)``.
     The verdict is ``d(t) <= tolerance`` (loose enough to absorb counting
     noise on estimated inputs); a triple farther out returns None at once.
-    For a triple within tolerance, a linear program over the eight weights,
-    fixed at import with only its target changing per call, builds the
-    ensemble through HiGHS.  The first such call imports ``scipy.optimize``
-    (about half a second), which no other path loads.  Re-evaluating the
-    triple from the ensemble reproduces the input to ``tolerance`` or to
-    the solver's 1e-7 feasibility tolerance, whichever is larger.
-    ``tolerance`` must be a finite non-negative number and ``t`` a
-    JointTriple, else ValueError.
+    Any other triple moves by ``d(t)`` onto the facet it violates, if any,
+    and ``scipy.optimize.nnls`` finds eight non-negative weights summing to
+    1 that give it back: the ensemble reproduces the input to ``d(t)``, up
+    to rounding and weights clamped below ``WEIGHT_CLAMP``.  The first such
+    call imports ``scipy.optimize`` (about half a second), which no other
+    path loads.  ``tolerance`` must be a finite non-negative number and
+    ``t`` a JointTriple, else ValueError.
     """
     tolerance = _number("tolerance", tolerance, 0.0)
-    t = _instance("t", t, JointTriple)
-    if max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0) > tolerance:
+    distance, point = _onto_hull(_instance("t", t, JointTriple))
+    if distance > tolerance:
         return None
-    target = np.array([t.p_ab, t.p_bc, t.p_ac])
+    target = np.array([*point, 1.0])
+    # nnls can stop at its iteration limit on subnormal targets such as
+    # (1e-20, 0, 5e-324); flushing them to 0 moves the target by < 2.3e-308.
+    target[target < _TINY] = 0.0
     # SciPy's package __getattr__ imports scipy.optimize on first access.
-    result = scipy.optimize.linprog(
-        _LP_COST,
-        A_ub=_LP_A_UB,
-        b_ub=np.concatenate([target, -target]),
-        A_eq=_LP_A_EQ,
-        b_eq=[1.0],
-        method="highs",
-    )
-    if not result.success or result.fun > tolerance:
-        return None
-    weights = result.x[: len(ALL_STATES)]
+    weights, _ = scipy.optimize.nnls(_FIT_MATRIX, target)
     weights = np.where(weights < WEIGHT_CLAMP, 0.0, weights)
     return ClassicalEnsemble.from_weights((weights / weights.sum()).tolist())

@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from pmlab.classical import (
-    _LP_A_EQ,
-    _LP_A_UB,
-    _LP_COST,
     ALL_STATES,
     FIT_TOLERANCE,
     PAIR_AB,
@@ -77,6 +74,21 @@ def closed_form_distance(t: JointTriple) -> float:
     p_ab + p_bc <= 1} (Fine, PRL 48, 291, 1982).
     """
     return max(0.0, (t.p_ac - t.p_ab - t.p_bc) / 3.0, (t.p_ab + t.p_bc - 1.0) / 2.0)
+
+
+# The oracle LP, over the eight weights and the worst-case deviation d:
+# minimize d subject to -d <= (indicator row . weights) - target <= d for
+# each pair and weights summing to 1, every variable at linprog's default
+# bounds [0, inf).  HiGHS solves it independently of fit_classical's solve.
+_LP_COST = np.array([0.0] * len(ALL_STATES) + [1.0])
+_LP_A_UB = np.array(
+    [
+        [sign * atom_joint(state, pair) for state in ALL_STATES] + [-1.0]
+        for sign in (1.0, -1.0)
+        for pair in (PAIR_AB, PAIR_BC, PAIR_AC)
+    ]
+)
+_LP_A_EQ = np.array([[1.0] * len(ALL_STATES) + [0.0]])
 
 
 # Triples anywhere in the cube: uniform, on a 0.01 lattice, and corners.
@@ -392,8 +404,8 @@ class TestFitClassical:
 
     @triples_near_the_polytope
     def test_lp_optimum_is_the_closed_form_distance(self, triple):
-        # fit_classical never runs the LP on a triple outside tolerance, so
-        # the verdict property alone would not see the LP drift from d(t).
+        # An LP solver, run on every triple, finds the same distance that
+        # fit_classical's verdict computes in closed form.
         t = np.array(triple)
         result = linprog(
             _LP_COST,
@@ -409,31 +421,40 @@ class TestFitClassical:
         # as feasible: (6e-8, 1, 0) lies 3e-8 outside and the LP reports 0.
         assert abs(result.fun - distance) <= 1e-12 or (result.fun == 0.0 and distance <= 1e-7)
 
-    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 5e-8, 1e-7, 1e-6, 1e-4])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 5e-8, 6e-8, 1e-7, 1e-6, 1e-4])
+    # Fitted by HiGHS, these two missed by 8e-8 and 1e-7 at tolerance 5e-8
+    # and 6e-8, against d(t) of 4e-8 and 5e-8.
+    @example(triple=(8e-8, 1.0, 0.0))
+    @example(triple=(1e-7, 1.0, 0.5))
+    # A bare nnls call stops at its iteration limit on these two.
+    @example(triple=(1e-20, 0.0, 5e-324))
+    @example(triple=(0.0, 0.0, 5e-324))
+    # A weight of 1e-7, which a clamp at 1e-6 would drop.
+    @example(triple=(1e-7, 0.5, 0.5))
     @triples_near_the_polytope
     def test_refit_reproduces_the_triple_to_the_documented_bound(self, tolerance, triple):
-        # Outside the hull but within tolerance, the LP lands up to tolerance
-        # away; inside it, up to HiGHS's 1e-7 primal feasibility tolerance.
+        # The ensemble lands d(t) away, up to rounding and eight weights
+        # dropped below WEIGHT_CLAMP.
         t = JointTriple(*triple)
         ens = fit_classical(t, tolerance)
         if ens is not None:
             refit = joint_triple(ens)
             deviations = (refit.p_ab - t.p_ab, refit.p_bc - t.p_bc, refit.p_ac - t.p_ac)
-            assert max(map(abs, deviations)) <= max(tolerance, 1e-7)
+            assert max(map(abs, deviations)) <= closed_form_distance(t) + 1e-11
 
     def test_infeasible_triples_never_reach_the_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("linprog called")
+        def no_solve(*args, **kwargs):
+            raise AssertionError("nnls called")
 
-        monkeypatch.setattr("scipy.optimize.linprog", no_lp)
+        monkeypatch.setattr("scipy.optimize.nnls", no_solve)
         triples = [JointTriple(*triple) for triple in FIT_PIN_TRIPLES]
         infeasible = [t for t in triples if closed_form_distance(t) > FIT_TOLERANCE]
         assert len(infeasible) == 26
         quantum = JointTriple(p_ab=QUANTUM_P_AB, p_bc=QUANTUM_P_BC, p_ac=QUANTUM_P_AC)
         for t in [*infeasible, quantum]:
             assert fit_classical(t) is None
-        # A feasible triple still gets its ensemble from the LP.
-        with pytest.raises(AssertionError, match="linprog called"):
+        # A feasible triple still gets its ensemble from the solver.
+        with pytest.raises(AssertionError, match="nnls called"):
             fit_classical(JointTriple(0.3, 0.2, 0.4))
 
     def test_weights_and_verdicts_pinned(self):
@@ -463,8 +484,8 @@ def _fit_pin_triples():
 # Feasible and infeasible triples, the corners and midpoints of the cube,
 # fitted ensembles' own triples and uniform random triples: 72 in all, 26
 # infeasible.  The digest covers every returned weight bit for bit and
-# each None, recorded before the LP became module constants.  It holds
-# for one HiGHS build (scipy 1.17.1); the LP has many optimal weightings
-# for a feasible triple, and another solver build may pick a different one.
+# each None.  It holds for one nnls build (scipy 1.17.1): a feasible
+# triple has many weightings, and another build may pick a different one.
+# Re-taken when nnls replaced the LP; the verdicts did not change.
 FIT_PIN_TRIPLES = _fit_pin_triples()
-FIT_SHA256 = "bccccc6daeb8a8208143c0cfd6e5d51a19815b42186ce2add4af4fd338fd508e"
+FIT_SHA256 = "c2b91f8a044678601abb272dafad9c12cfd4cfecab6d1c7553b6f0a8f8703d32"

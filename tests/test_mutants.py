@@ -24,9 +24,21 @@ def _scaled_error(estimate_joint, factor):
     return mutant
 
 
+def _unprojected(onto_hull):
+    def mutant(t):
+        return onto_hull(t)[0], [t.p_ab, t.p_bc, t.p_ac]
+
+    return mutant
+
+
+# One instance for every case: hypothesis fails a health check when a
+# method it wraps is called from a second instance outside pytest's own
+# parametrized runs.
+_FIT_TESTS = test_classical.TestFitClassical()
+
+
 def _refit_test(tolerance):
-    fit = test_classical.TestFitClassical()
-    fit.test_refit_reproduces_the_triple_to_the_documented_bound(tolerance=tolerance)
+    _FIT_TESTS.test_refit_reproduces_the_triple_to_the_documented_bound(tolerance=tolerance)
 
 
 #: Name: (module, attribute, mutant value, the catching test, what it raises).
@@ -44,6 +56,20 @@ CASES = {
         1e-6,
         lambda: _refit_test(tolerance=1e-6),
         AssertionError,
+    ),
+    "facet projection removed": (
+        classical,
+        "_onto_hull",
+        _unprojected(classical._onto_hull),
+        lambda: _refit_test(tolerance=1e-6),
+        AssertionError,
+    ),
+    "subnormal flush removed": (
+        classical,
+        "_TINY",
+        0.0,
+        lambda: _refit_test(tolerance=0.0),
+        RuntimeError,
     ),
     "classical.__all__ lists an imported name": (
         classical,
