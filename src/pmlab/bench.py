@@ -265,13 +265,16 @@ class _Stream(threading.local):
     counter (0, 0, preparation, plate), both angles canonical and
     micro-degree quantized, and an empty buffer.  Drawing advances only
     the low counter word, so distinct settings run on disjoint counter
-    ranges and a record depends on neither scan order nor thread.
+    ranges and a record depends on neither scan order nor thread.  Each
+    thread builds its generator on its first setting, so importing the
+    module does not load ``numpy.random``.
     """
 
-    def __init__(self) -> None:
-        self.rng = np.random.Generator(np.random.Philox(key=0))
+    rng: np.random.Generator | None = None
 
     def keyed(self, seed: int, setting: Setting) -> np.random.Generator:
+        if self.rng is None:
+            self.rng = np.random.Generator(np.random.Philox(key=0))
         counter = [0, 0, round(setting.theta_prep * 1e6), round(setting.hwp_angle * 1e6)]
         self.rng.bit_generator.state = {
             "bit_generator": "Philox",

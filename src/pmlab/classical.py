@@ -15,7 +15,9 @@ kernel also takes one weight array per assignment, scoring many ensembles.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from collections.abc import Iterable, Mapping
@@ -151,13 +153,23 @@ class JointTriple:
             object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, 1.0))
 
 
-_SIMPLEX_ALPHA = np.ones(len(ALL_STATES))
+def _simplex(draws: list) -> list:
+    # Eight draws times one over their running sum, as numpy's dirichlet at
+    # unit concentration scales its gamma(1) variates.  Draws may be floats
+    # or equal-length arrays.  reduce adds in order: sum compensates on
+    # Python >= 3.12, and np.sum adds pairwise.
+    scale = 1.0 / functools.reduce(operator.add, draws)
+    return [draw * scale for draw in draws]
 
 
 def random_ensemble(rng: np.random.Generator) -> ClassicalEnsemble:
-    """Draw an ensemble uniformly from the weight simplex."""
+    """Draw an ensemble uniformly from the weight simplex.
+
+    The weights are eight standard exponentials over their running sum:
+    bit for bit ``rng.dirichlet(np.ones(8))``, from the same draws.
+    """
     rng = _instance("rng", rng, np.random.Generator)
-    return ClassicalEnsemble.from_weights(rng.dirichlet(_SIMPLEX_ALPHA).tolist())
+    return ClassicalEnsemble(dict(zip(ALL_STATES, _simplex(rng.standard_exponential(8).tolist()))))
 
 
 def atom_joint(state: GeneralizedState, pair: OutcomePair) -> float:

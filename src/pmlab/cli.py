@@ -79,8 +79,8 @@ def _sampled_witness(rng: np.random.Generator, samples: int):
     Bit for bit and in order, ``s_classical(random_ensemble(rng))`` per sample.
     """
     for start in range(0, samples, _CHUNK):
-        weights = rng.dirichlet(classical._SIMPLEX_ALPHA, size=min(_CHUNK, samples - start))
-        yield classical._witness(list(weights.T))
+        draws = rng.standard_exponential((min(_CHUNK, samples - start), 8))
+        yield classical._witness(classical._simplex(list(draws.T)))
 
 
 def _cmd_classical_verify(args: argparse.Namespace) -> int:

@@ -296,19 +296,22 @@ def _csv(header: list[str], axes: list[list[float]], numbers: Iterable[float]) -
     Lines run over the product of ``axes`` in row-major order: one cell per
     axis, each axis value through _fmt once rather than once per line, then
     the next ``len(header) - len(axes)`` of ``numbers`` to CSV_DECIMALS.
+    Lines go out in blocks of 1,024, each formatted by one ``%`` on a
+    template of its labels, and then rid of ``-0.000000`` at once.
     """
     labels = itertools.product(*(tuple(map(_fmt, axis)) for axis in axes))
     width = len(header) - len(axes)
-    # One iterator repeated: zip groups consecutive cells into a line's tail.
-    tails = zip(*[iter(numbers)] * width)
-    # One template a line: the labels as _fmt wrote them, then the numbers.
-    line = ",".join(["%s"] * len(axes) + [f"%{_CSV_SPEC}"] * width).__mod__
-    lines = itertools.chain([",".join(header)], map(line, map(tuple.__add__, labels, tails)))
-    # Blocks of 4096 lines, not a list of every line, each rid of -0.000000
-    # at once (a number never starts a line); the empty block ends it.
-    block = lambda: "\n".join([*itertools.islice(lines, 4096), ""])
-    signed = "," + _NEGATIVE_ZERO
-    return "".join(iter(lambda: block().replace(signed, "," + _NEGATIVE_ZERO[1:]), ""))
+    numbers = iter(numbers)
+    # _fmt writes no "%", so the labels go into the template as they are.
+    cells = f",%{_CSV_SPEC}" * width + "\n"
+    # A number never starts a line, so each signed zero follows a comma.
+    signed, unsigned = "," + _NEGATIVE_ZERO, "," + _NEGATIVE_ZERO[1:]
+    blocks = [",".join(header) + "\n"]
+    while rows := list(itertools.islice(labels, 1024)):
+        template = cells.join(map(",".join, rows)) + cells
+        block = template % tuple(itertools.islice(numbers, len(rows) * width))
+        blocks.append(block.replace(signed, unsigned))
+    return "".join(blocks)
 
 
 def _to_csv(land: SLandscape) -> str:

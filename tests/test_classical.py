@@ -4,9 +4,11 @@ The independent oracle here is plain enumeration over sign tuples,
 written out in the tests without touching the module's own indicator
 machinery.
 """
+import functools
 import hashlib
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from pmlab import classical
 from pmlab.classical import (
     ALL_STATES,
     FIT_TOLERANCE,
@@ -318,6 +321,27 @@ class TestWitness:
         for _ in range(2000):
             value = s_classical(random_ensemble(rng))
             assert -1e-9 <= value <= 1.0 + 1e-9
+
+
+class TestRandomEnsemble:
+    def test_weights_are_numpy_dirichlet_bit_for_bit(self):
+        # Eight exponentials over their running sum, draw for draw the
+        # gamma(1) variates numpy's dirichlet scales at unit concentration.
+        alpha = np.ones(len(ALL_STATES))
+        for seed in range(1000):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                weights = np.array(list(random_ensemble(rng).weights.values()))
+                assert weights.tobytes() == oracle.dirichlet(alpha).tobytes(), seed
+
+    def test_simplex_adds_in_order(self):
+        # The running sum stays at 1.0, so the scale is exactly 1; math.fsum
+        # reaches 1 + 2**-50 and numpy's pairwise sum 1 + 3 * 2**-52 instead.
+        draws = [1.0] + [2.0**-53] * 7
+        assert functools.reduce(operator.add, draws) == 1.0 != math.fsum(draws)
+        assert classical._simplex(draws) == draws
+        columns = classical._simplex([np.full(3, draw) for draw in draws])
+        assert np.array(columns).tobytes() == np.array([[draw] * 3 for draw in draws]).tobytes()
 
 
 class TestBoundCheck:

@@ -221,6 +221,14 @@ def test_array_pass_equals_the_per_sample_loop(seed):
         assert sampled_values(seed, samples) == looped[:samples], samples
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_array_pass_equals_the_batched_dirichlet(offset):
+    samples = cli._CHUNK + offset
+    weights = np.random.default_rng(8).dirichlet(np.ones(8), size=samples)
+    expected = classical._witness(list(weights.T))
+    assert np.array(sampled_values(8, samples)).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_array_pass_does_not_depend_on_the_chunk(monkeypatch, chunk):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
@@ -536,6 +544,37 @@ for argv, expected in runs:
 fit_classical(JointTriple(0.3, 0.2, 0.4))
 assert "scipy.optimize" in sys.modules, "not imported by a feasible fit"
 """
+
+
+# Run in a fresh interpreter: this test process already holds numpy.random.
+LAZY_RANDOM_SCRIPT = """
+import contextlib, io, sys
+from pmlab import cli
+
+assert "numpy.random" not in sys.modules, "imported by pmlab.cli"
+runs = [
+    (["fit", "--p-ab", "0.2582", "--p-bc", "0.1576", "--p-ac", "0.8190"], 4),
+    (["optimize", "--step", "30"], 0),
+    (["scan", "--step", "30"], 0),
+]
+for argv, expected in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == expected, (argv, code)
+    assert "numpy.random" not in sys.modules, f"imported by {argv[0]}"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate"]) == 0
+assert "numpy.random" in sys.modules, "not imported by simulate"
+"""
+
+
+def test_only_sampling_imports_numpy_random():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_RANDOM_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_only_a_feasible_fit_imports_the_lp(tmp_path):

@@ -455,6 +455,21 @@ def peak_of(call):
         tracemalloc.stop()
 
 
+def reference_csv(header, axes, numbers) -> str:
+    """The CSV conventions one line at a time: every cell to 6 decimals, unsigned zero."""
+
+    def cell(x):
+        text = f"{x:.6f}"
+        return "0.000000" if text == "-0.000000" else text
+
+    numbers = iter(numbers)
+    width = len(header) - len(axes)
+    lines = [",".join(header)]
+    for labels in itertools.product(*axes):
+        lines.append(",".join([*map(cell, labels), *(cell(next(numbers)) for _ in range(width))]))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestParse:
     @settings(max_examples=200, deadline=None)
     @given(land=landscapes())
@@ -641,6 +656,24 @@ class TestExport:
         export_surface(land, "json")
         document, peak = peak_of(lambda: export_surface(land, "json"))
         assert peak <= 2.3 * len(document)
+
+    @pytest.mark.parametrize("shape", [(1023,), (1024,), (1025,), (2049,), (3, 683), (25, 41)])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_csv_blocks_match_a_line_at_a_time_writer(self, shape, width):
+        # Lines go out 1,024 to a block.  The first and the last line of each
+        # block carry values that round to -0.000000 in the first and the
+        # last number column, and the first label does too.
+        lines = math.prod(shape)
+        assert f"{-1e-9:.6f}" == f"{-4e-7:.6f}" == "-0.000000"
+        numbers = np.random.default_rng(lines).uniform(-2.0, 2.0, size=(lines, width))
+        edges = [i for i in range(lines) if i % 1024 in (0, 1023)]
+        numbers[edges, 0] = -1e-9
+        numbers[edges, -1] = -4e-7
+        axes = [[-1e-9, *(0.25 * i for i in range(1, size))] for size in shape]
+        header = [*(f"x{j}" for j in range(len(shape))), *(f"y{j}" for j in range(width))]
+        expected = reference_csv(header, axes, numbers.flat)
+        assert expected.count("\n") == 1 + lines
+        assert landscape._csv(header, axes, numbers.ravel().tolist()) == expected
 
     def test_one_dimensional_csv(self):
         land = grid_scan(156.0, 126.0, ScanGrid.full_range(6.0))

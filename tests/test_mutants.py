@@ -5,6 +5,7 @@ the test that should catch it, and asserts that the test fails.  A pin
 re-taken after a change could encode a new bug; these cases keep the checks
 that would see one.  A change that re-takes a pin adds its own case.
 """
+import math
 import re
 
 import pytest
@@ -29,6 +30,11 @@ def _unprojected(onto_hull):
         return onto_hull(t)[0], [t.p_ab, t.p_bc, t.p_ac]
 
     return mutant
+
+
+def _fsum_simplex(draws):
+    scale = 1.0 / math.fsum(draws)
+    return [draw * scale for draw in draws]
 
 
 # One instance for every case: hypothesis fails a health check when a
@@ -70,6 +76,20 @@ CASES = {
         0.0,
         lambda: _refit_test(tolerance=0.0),
         RuntimeError,
+    ),
+    "simplex summed by math.fsum": (
+        classical,
+        "_simplex",
+        _fsum_simplex,
+        lambda: test_classical.TestRandomEnsemble().test_simplex_adds_in_order(),
+        AssertionError,
+    ),
+    "signed zero left in the CSV": (
+        landscape,
+        "_NEGATIVE_ZERO",
+        "-0.0000000",
+        lambda: test_landscape.TestExport().test_bytes_pinned("2d-csv"),
+        AssertionError,
     ),
     "classical.__all__ lists an imported name": (
         classical,
